@@ -13,18 +13,18 @@
 #                      then check that dropping --refit changes nothing
 #                      about a frozen-model run
 #   make bench         scheduling-round latency benchmarks (BENCH_*.json)
-#   make bench-check   replay policy/incremental_round and model/refit_update
-#                      and fail on a >20% regression of the fastest sample
-#                      vs the committed BENCH_*.json summaries
+#   make bench-check   replay model/refit_update and fail on a >20%
+#                      regression of the fastest sample vs the committed
+#                      BENCH_modeling.json summary
 #   make build         release build of the whole workspace
 #
 # `BENCH=1 make verify` additionally runs the bench-check perf gate
 # (opt-in: bench timings are machine-dependent, so the default CI gate
 # stays deterministic).
 
-.PHONY: verify fmt lint test build bench bench-check bench-smoke sweep-smoke serve-smoke refit-smoke
+.PHONY: verify fmt lint test build bench bench-check sweep-smoke serve-smoke refit-smoke
 
-verify: fmt lint test sweep-smoke serve-smoke refit-smoke bench-smoke
+verify: fmt lint test sweep-smoke serve-smoke refit-smoke
 
 ifeq ($(BENCH),1)
 verify: bench-check
@@ -113,33 +113,15 @@ bench:
 	cargo bench -p rubick-bench --bench scheduling
 	cargo bench -p rubick-bench --bench modeling
 
-# Replays only the incremental tier (BENCH_FILTER) into a scratch dir so
+# Replays only the refit-update tier (BENCH_FILTER) into a scratch dir so
 # the committed summary is never clobbered, then compares each entry's
 # fastest sample (min_ns — robust to shared-machine noise, unlike the
-# mean). The replay doubles the sample count: the min over 20 samples
-# sits at or below a committed 10-sample min unless the code genuinely
-# got slower.
-# Quick sanity pass over the incremental tier: BENCH_SMOKE trims the job
-# sizes to 1024 and one sample is taken per variant, so the whole run —
-# including the pre-bench equivalence assertions (incremental == full,
-# delta-fed == full, O(delta) classification) — finishes in seconds.
-# This is a correctness gate, not a perf gate: timings are discarded
-# (scratch BENCH_OUT_DIR), only the asserts matter.
-bench-smoke:
-	mkdir -p target/bench-smoke
-	BENCH_SMOKE=1 BENCH_SAMPLE_SIZE=1 BENCH_FILTER=incremental_round \
-		BENCH_OUT_DIR=$(CURDIR)/target/bench-smoke \
-		cargo bench -p rubick-bench --bench scheduling
-	@echo "bench-smoke: incremental-round equivalence asserts passed"
-
+# mean). The replay takes 20 samples, like the committed summary, so the
+# two minima only differ when the code genuinely got slower.
 bench-check:
 	mkdir -p target/bench-check
-	BENCH_SAMPLE_SIZE=20 BENCH_FILTER=incremental_round \
-		BENCH_OUT_DIR=$(CURDIR)/target/bench-check \
-		cargo bench -p rubick-bench --bench scheduling
 	BENCH_SAMPLE_SIZE=20 BENCH_FILTER=refit_update \
 		BENCH_OUT_DIR=$(CURDIR)/target/bench-check \
 		cargo bench -p rubick-bench --bench modeling
-	BENCH_CHECK=1 BENCH_CHECK_FRESH=$(CURDIR)/target/bench-check/BENCH_scheduling.json \
-		BENCH_CHECK_FRESH_MODELING=$(CURDIR)/target/bench-check/BENCH_modeling.json \
+	BENCH_CHECK=1 BENCH_CHECK_FRESH_MODELING=$(CURDIR)/target/bench-check/BENCH_modeling.json \
 		cargo test -p rubick-bench --test bench_check -- --nocapture

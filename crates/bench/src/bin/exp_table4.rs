@@ -20,6 +20,9 @@ use rubick_sim::{JobClass, Scheduler, SimReport};
 use rubick_trace::{best_plan_trace, generate_base, multi_tenant_trace, TraceConfig};
 use std::sync::Arc;
 
+/// Selects the jobs one row of the per-class JCT table covers.
+type RowFilter = Box<dyn Fn(&rubick_sim::JobRecord) -> bool>;
+
 fn main() {
     let oracle = std_oracle();
     eprintln!("[table4] profiling the 7-model zoo...");
@@ -97,7 +100,7 @@ fn main() {
             .map(|(_, _, r)| (r.avg_jct(), r.p99_jct()))
             .unwrap_or((0.0, 0.0));
         for (t, name, report) in summaries.iter().filter(|(t, _, _)| t == trace_name) {
-            let rows: Vec<(&str, Box<dyn Fn(&rubick_sim::JobRecord) -> bool>)> = if t == "MT" {
+            let rows: Vec<(&str, RowFilter)> = if t == "MT" {
                 vec![
                     ("all", Box::new(|_: &rubick_sim::JobRecord| true)),
                     (

@@ -1,10 +1,10 @@
-//! Opt-in perf regression gate for the incremental-round tier.
+//! Opt-in perf regression gate for the refit-update tier.
 //!
 //! `make bench-check` (or `BENCH=1 make verify`) replays the
-//! `policy/incremental_round` benchmarks into a scratch directory and
-//! then runs this test with `BENCH_CHECK=1`: every incremental-round
-//! entry in the committed `BENCH_scheduling.json` must exist in the
-//! fresh summary with a `min_ns` no more than 20% slower. The *fastest*
+//! `model/refit_update` benchmarks into a scratch directory and then
+//! runs this test with `BENCH_CHECK=1`: every refit-update entry in the
+//! committed `BENCH_modeling.json` must exist in the fresh summary with
+//! a `min_ns` no more than 20% slower. The *fastest*
 //! sample is compared, not the mean — on a shared machine the mean
 //! soaks up scheduler noise (observed >1.4x run-to-run on sub-ms
 //! entries), while the minimum approximates the noise-free cost and
@@ -19,7 +19,6 @@ use std::path::PathBuf;
 
 /// Allowed slowdown of a fresh minimum over the committed one.
 const TOLERANCE: f64 = 1.20;
-const TIER: &str = "policy/incremental_round/";
 
 /// Extracts `(id, min_ns)` pairs from a shim summary.
 fn parse_summary(body: &str) -> Vec<(String, f64)> {
@@ -94,15 +93,6 @@ fn check_tier(committed_name: &str, fresh_env: &str, tier: &str) {
 }
 
 #[test]
-fn incremental_round_has_not_regressed() {
-    if std::env::var("BENCH_CHECK").as_deref() != Ok("1") {
-        eprintln!("bench_check: skipped (set BENCH_CHECK=1 to enable; see `make bench-check`)");
-        return;
-    }
-    check_tier("BENCH_scheduling.json", "BENCH_CHECK_FRESH", TIER);
-}
-
-#[test]
 fn refit_update_has_not_regressed() {
     if std::env::var("BENCH_CHECK").as_deref() != Ok("1") {
         eprintln!("bench_check: skipped (set BENCH_CHECK=1 to enable; see `make bench-check`)");
@@ -119,14 +109,14 @@ fn refit_update_has_not_regressed() {
 fn summary_parser_reads_shim_format() {
     let body = r#"{
   "benchmarks": [
-    {"id": "policy/incremental_round/full/1024", "mean_ns": 5500000.0, "median_ns": 5200000.0, "min_ns": 5000000.0, "samples": 10, "iters_per_sample": 5, "threads_effective": 8},
-    {"id": "policy/incremental_round/clean/1024", "mean_ns": 300000.0, "median_ns": 260000.0, "min_ns": 250000.5, "samples": 10, "iters_per_sample": 80, "threads_effective": 8}
+    {"id": "model/refit_update/gauss_newton_12_steps", "mean_ns": 5500000.0, "median_ns": 5200000.0, "min_ns": 5000000.0, "samples": 20, "iters_per_sample": 5},
+    {"id": "policy/round_32_jobs/rubick", "mean_ns": 300000.0, "median_ns": 260000.0, "min_ns": 250000.5, "samples": 10, "iters_per_sample": 80, "threads_effective": 8}
   ]
 }
 "#;
     let parsed = parse_summary(body);
     assert_eq!(parsed.len(), 2);
-    assert_eq!(parsed[0].0, "policy/incremental_round/full/1024");
+    assert_eq!(parsed[0].0, "model/refit_update/gauss_newton_12_steps");
     assert!((parsed[0].1 - 5_000_000.0).abs() < 1e-6);
     assert!((parsed[1].1 - 250_000.5).abs() < 1e-6);
 }

@@ -35,9 +35,9 @@ pub struct ModelRegistry {
     /// fed with observations from live training runs.
     fitters: Mutex<HashMap<String, OnlineFitter>>,
     refits: AtomicUsize,
-    /// Monotone counter bumped on every model insert/replace; incremental
-    /// schedulers fingerprint it to detect that *any* fitted model (and
-    /// hence any sensitivity curve or loss slope) may have changed.
+    /// Monotone counter bumped on every model insert/replace; schedulers
+    /// key cached per-job state by it to detect that *any* fitted model
+    /// (and hence any sensitivity curve or loss slope) may have changed.
     version: AtomicU64,
     env: ClusterEnv,
     shape: NodeShape,

@@ -21,7 +21,6 @@
 //! §5.2 (`(T − N·δ)/T ≥ 0.97`), and starving best-effort jobs are promoted
 //! after a queueing-delay threshold.
 
-mod dirty;
 mod minres;
 mod policy;
 
@@ -30,9 +29,7 @@ pub use minres::min_res;
 use crate::registry::ModelRegistry;
 use parking_lot::Mutex;
 use rubick_sim::cluster::Cluster;
-use rubick_sim::scheduler::{
-    Assignment, ClusterDelta, JobDelta, JobSnapshot, RoundStats, Scheduler,
-};
+use rubick_sim::scheduler::{Assignment, JobSnapshot, RoundStats, Scheduler};
 use rubick_sim::tenant::Tenant;
 use rubick_testbed::TestbedOracle;
 use std::collections::HashMap;
@@ -73,12 +70,6 @@ pub struct RubickConfig {
     /// are merged into `JobId`-ordered maps, so round output is identical
     /// at any setting.
     pub parallelism: Option<usize>,
-    /// Incremental dirty-set rounds: fingerprint every job's planning
-    /// inputs and skip the plan search for jobs whose previous decision is
-    /// provably still optimal-feasible (see `DESIGN.md` §11). Skips fire
-    /// only under bit-exact certificates, so round output is identical
-    /// with the flag on or off; `false` forces a full re-plan every round.
-    pub incremental: bool,
 }
 
 impl Default for RubickConfig {
@@ -91,7 +82,6 @@ impl Default for RubickConfig {
             resource_realloc: true,
             min_gain: 0.15,
             parallelism: None,
-            incremental: true,
         }
     }
 }
@@ -116,11 +106,10 @@ pub struct RubickScheduler {
     pub(crate) registry: Arc<ModelRegistry>,
     pub(crate) config: RubickConfig,
     pub(crate) lazy: Option<LazyProfiling>,
-    /// Incremental-planning memory (fingerprints, ledger projection,
-    /// cached per-job context). Interior-mutable because rounds run
-    /// through `&self` plumbing; uncontended in practice — locked once
-    /// per round.
-    pub(crate) tracker: Mutex<dirty::DirtyTracker>,
+    /// Per-job context parts carried across rounds (`DESIGN.md` §11).
+    parts: policy::PartsCache,
+    /// Statistics of the most recent round.
+    stats: Option<RoundStats>,
 }
 
 impl RubickScheduler {
@@ -130,7 +119,8 @@ impl RubickScheduler {
             registry,
             config: RubickConfig::default(),
             lazy: None,
-            tracker: Mutex::new(dirty::DirtyTracker::new()),
+            parts: policy::PartsCache::default(),
+            stats: None,
         }
     }
 
@@ -140,7 +130,8 @@ impl RubickScheduler {
             registry,
             config,
             lazy: None,
-            tracker: Mutex::new(dirty::DirtyTracker::new()),
+            parts: policy::PartsCache::default(),
+            stats: None,
         }
     }
 
@@ -179,27 +170,8 @@ impl Scheduler for RubickScheduler {
         self.config.parallelism = parallelism;
     }
 
-    fn notify(&mut self, delta: &ClusterDelta) {
-        // Belt and braces: topology changes also surface as an epoch
-        // mismatch (node capacities are part of the epoch), but the
-        // explicit signal keeps the tracker honest even if a future
-        // epoch field is relaxed.
-        let _ = delta;
-        self.tracker.lock().force_dirty();
-    }
-
-    fn notify_jobs(&mut self, delta: &JobDelta) {
-        // The engine's per-round job delta: accumulated between rounds and
-        // consumed by the next classification, which then only fingerprints
-        // the named jobs (plus running-job penalty-gate suspects) instead
-        // of the whole cluster. Deltas over-approximate, so pushing one is
-        // always sound; classification falls back to full fingerprinting
-        // whenever no delta was pushed.
-        self.tracker.lock().push_delta(delta);
-    }
-
     fn last_round_stats(&self) -> Option<RoundStats> {
-        self.tracker.lock().stats()
+        self.stats
     }
 
     fn schedule(
@@ -209,6 +181,10 @@ impl Scheduler for RubickScheduler {
         cluster: &Cluster,
         tenants: &[Tenant],
     ) -> Vec<Assignment> {
-        policy::run_round(self, now, jobs, cluster, tenants)
+        let mut parts = std::mem::take(&mut self.parts);
+        let (out, stats) = policy::run_round(self, &mut parts, now, jobs, cluster, tenants);
+        self.parts = parts;
+        self.stats = Some(stats);
+        out
     }
 }

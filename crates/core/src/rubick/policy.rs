@@ -1,9 +1,8 @@
 //! The per-round scheduling logic (lines 1–24 of Algorithm 1).
 
-use super::dirty::{CachedParts, Classification, Epoch, JobIndex, Verdict};
 use super::RubickScheduler;
 use crate::common::{job_baseline, job_gpu_curve, PlanSearch};
-use crate::round::{LedgerDelta, RoundContext};
+use crate::round::RoundContext;
 use rubick_model::{ExecutionPlan, MemoryEstimator, Placement, Resources, SensitivityCurve};
 use rubick_sim::cluster::{Allocation, Cluster};
 use rubick_sim::job::{JobClass, JobId, JobStatus};
@@ -21,6 +20,96 @@ const EPS_SLOPE: f64 = 1e-9;
 /// jobs with near-equal slopes flap resources back and forth, paying a
 /// checkpoint-resume penalty on every swing.
 const SHRINK_HYSTERESIS: f64 = 0.45;
+
+/// The slice of a job's round context that does not change between
+/// rounds: plan-search mode, sensitivity curve, SLA baseline and minimum
+/// demand. The penalty gate (`frozen`) is *not* cached — it depends on the
+/// job's runtime and is recomputed every round.
+#[derive(Clone)]
+struct CachedParts {
+    /// Plan-reconfiguration freedom (a function of the policy config and
+    /// the job's immutable initial plan).
+    search: PlanSearch,
+    /// GPU sensitivity curve under `search`, if the model is known.
+    curve: Option<Arc<SensitivityCurve>>,
+    /// SLA baseline throughput, if derivable.
+    baseline: Option<f64>,
+    /// Minimum resource demand (`MinRes` of Algorithm 1).
+    minimum: Resources,
+}
+
+/// Per-job [`CachedParts`] carried across rounds (`DESIGN.md` §11).
+/// [`build_job_parts`] is pure in (policy config, job spec, registry
+/// version, total schedulable GPUs), so the entries stay valid until one
+/// of the last two moves; entries for jobs that left the round are
+/// dropped.
+#[derive(Default)]
+pub(super) struct PartsCache {
+    /// `(registry version, total schedulable GPUs)` the entries were built
+    /// under.
+    key: Option<(u64, u32)>,
+    parts: BTreeMap<JobId, CachedParts>,
+    /// The [`JobIndex`] allocation, recycled between rounds.
+    index: JobIndex,
+}
+
+/// Generation-stamped dense map from [`JobId`] to a job's position in the
+/// current round's jobs slice. Rebuilding bumps the generation instead of
+/// clearing the slot table, so steady-state rebuilds are O(jobs) scatter
+/// stores with no zeroing pass; a sorted-vec fallback handles id spaces
+/// too sparse for the dense table.
+#[derive(Debug, Default)]
+struct JobIndex {
+    /// `slots[id] = (generation, position)`; valid iff the stamp matches.
+    slots: Vec<(u32, u32)>,
+    gen: u32,
+    /// Sorted `(id, position)` fallback when ids are too sparse.
+    sparse: Vec<(JobId, u32)>,
+    dense: bool,
+}
+
+impl JobIndex {
+    /// Re-points the index at `jobs` (by slice position).
+    fn rebuild(&mut self, jobs: &[JobSnapshot]) {
+        let max_id = jobs.iter().map(|s| s.id()).max().unwrap_or(0);
+        self.dense = (max_id as usize) < 8 * jobs.len() + 1024;
+        if self.dense {
+            if self.slots.len() <= max_id as usize {
+                self.slots.resize(max_id as usize + 1, (0, 0));
+            }
+            self.gen = self.gen.wrapping_add(1);
+            if self.gen == 0 {
+                // Generation wrapped: stale stamps could collide, so pay
+                // one full clear every 2^32 rebuilds.
+                self.slots.fill((0, 0));
+                self.gen = 1;
+            }
+            let gen = self.gen;
+            for (pos, snap) in jobs.iter().enumerate() {
+                self.slots[snap.id() as usize] = (gen, pos as u32);
+            }
+            self.sparse.clear();
+        } else {
+            self.sparse.clear();
+            self.sparse
+                .extend(jobs.iter().enumerate().map(|(pos, s)| (s.id(), pos as u32)));
+            self.sparse.sort_unstable_by_key(|&(id, _)| id);
+        }
+    }
+
+    /// The slice position of `id`, if it is in the current round.
+    fn get(&self, id: JobId) -> Option<usize> {
+        if self.dense {
+            let slot = self.slots.get(id as usize)?;
+            (slot.0 == self.gen).then_some(slot.1 as usize)
+        } else {
+            self.sparse
+                .binary_search_by_key(&id, |&(id, _)| id)
+                .ok()
+                .map(|i| self.sparse[i].1 as usize)
+        }
+    }
+}
 
 /// Per-round immutable context: snapshots, curves, baselines, minima.
 /// Stored as dense vectors parallel to the jobs slice, addressed through
@@ -229,10 +318,9 @@ fn effective_threads(parallelism: Option<usize>, items: usize) -> usize {
 /// curve, SLA baseline and minimum demand. Pure in (snapshot spec,
 /// registry, cluster geometry) — full-search curves go through the shared
 /// keyed cache, whose hit/miss pattern cannot change the values. Because
-/// every input is epoch-stable, the result is cacheable across rounds by
-/// the [`DirtyTracker`](super::dirty::DirtyTracker); the penalty-gate
-/// state (`frozen`) depends on the job's runtime and is computed per
-/// round at merge time instead.
+/// no input changes from round to round, the result is kept across rounds
+/// in the [`PartsCache`]; the penalty-gate state (`frozen`) depends on the
+/// job's runtime and is computed per round at merge time instead.
 fn build_job_parts(
     sched: &RubickScheduler,
     snap: &JobSnapshot,
@@ -267,14 +355,16 @@ fn build_job_parts(
     }
 }
 
-/// Entry point called from [`Scheduler::schedule`](rubick_sim::Scheduler).
+/// Entry point called from [`Scheduler::schedule`](rubick_sim::Scheduler):
+/// plans every job and reports how many plan searches ran.
 pub(super) fn run_round(
     sched: &RubickScheduler,
+    cache: &mut PartsCache,
     now: f64,
     jobs: &[JobSnapshot],
     cluster: &Cluster,
     tenants: &[Tenant],
-) -> Vec<Assignment> {
+) -> (Vec<Assignment>, RoundStats) {
     let cfg = &sched.config;
     let total_gpus = cluster.schedulable_capacity().gpus;
 
@@ -330,43 +420,7 @@ pub(super) fn run_round(
         }
     }
 
-    // ---- incremental classification (dirty-set planning, §see DESIGN 11)
-    // Fingerprint every job's planning inputs and compare against the end
-    // of the previous round. The epoch is read *after* the observe loop,
-    // so a refit this round bumps the registry version and invalidates
-    // every certificate at once.
-    let epoch_now = cfg.incremental.then(|| Epoch {
-        registry_version: sched.registry.version(),
-        total_gpus,
-        node_caps: cluster
-            .nodes()
-            .iter()
-            .map(|n| n.schedulable_capacity())
-            .collect(),
-        tenants: tenants.to_vec(),
-    });
-    let mut tracker = cfg.incremental.then(|| sched.tracker.lock());
-    let mut cls: Option<Classification> = match (&mut tracker, &epoch_now) {
-        (Some(t), Some(e)) => {
-            // Lazy profiling filters the jobs slice, so the engine's delta
-            // (expressed against the unfiltered job set) cannot be trusted
-            // this round — fall back to full fingerprinting.
-            if filtered.is_some() {
-                t.clear_delta();
-            }
-            Some(t.classify(
-                jobs,
-                e,
-                cfg.reconfig_threshold,
-                effective_threads(cfg.parallelism, jobs.len()),
-            ))
-        }
-        _ => None,
-    };
-
     // ---- initial state: current allocations applied --------------------
-    // Built before the per-job context: the ledger check (and with it the
-    // fast path) only needs the post-charge free vector, which is cheap.
     let mut state = State {
         round: RoundContext::new(cluster, jobs),
         alloc: BTreeMap::new(),
@@ -376,43 +430,29 @@ pub(super) fn run_round(
         state.alloc.insert(id, alloc);
     }
 
-    // ---- ledger check + fast path --------------------------------------
-    // Capacity growth (a job finished or was evicted elsewhere) gives
-    // non-satiated searches something to grab, so only the satiated skips
-    // survive it; any shrink is maximally conservative. When every job is
-    // clean, the previous round was quiet and the ledger is bit-identical,
-    // the whole round is provably a verbatim re-emit.
-    if let (Some(t), Some(c)) = (&mut tracker, &mut cls) {
-        match state.round.delta_vs(t.projected_free()) {
-            LedgerDelta::Unchanged => {}
-            LedgerDelta::Grown(_) => c.demote_quiet(),
-            LedgerDelta::Shrunk(_) => c.demote_all(),
-        }
-        if c.fast_eligible() {
-            let classified = c.classified;
-            t.restore_index(c.take_index());
-            return t.fast_path(jobs, classified);
-        }
-    }
-
     // ---- build round context ------------------------------------------
     // The per-job work (curve, baseline, minimum demand) is the round's
     // hot path and is embarrassingly parallel: each entry is a pure
     // function of (snapshot, registry). Entries are computed on worker
-    // threads and merged into `JobId`-keyed BTreeMaps, so the result is
+    // threads and merged back in slice order, so the result is
     // byte-identical to the sequential build at any thread count.
     // One estimator per round (it is a cheap `Copy` of the cluster's GPU
     // memory capacity), shared by every per-job minimum-demand search and
     // the allocation passes below.
     //
-    // Incrementally-tracked rounds reuse the epoch-stable slice from the
-    // tracker's cache (`build_job_parts` is pure in epoch-stable inputs)
-    // and only rebuild jobs the cache has not seen.
+    // Jobs seen in an earlier round reuse their cached parts; the cache
+    // key is read *after* the observe loop, so a refit this round bumps
+    // the registry version and rebuilds every entry.
     let estimator = MemoryEstimator::new(cluster.shape().gpu_mem_gb);
-    let mut index = cls.as_mut().map(|c| c.take_index()).unwrap_or_default();
-    if cls.is_none() {
-        index.rebuild(jobs);
+    let key = (sched.registry.version(), total_gpus);
+    if cache.key != Some(key) {
+        cache.parts.clear();
+        cache.key = Some(key);
     }
+    let mut index = std::mem::take(&mut cache.index);
+    index.rebuild(jobs);
+    // Cached parts for jobs that left the system are dead weight.
+    cache.parts.retain(|id, _| index.get(*id).is_some());
     let n = jobs.len();
     let mut ctx = Ctx {
         sched,
@@ -426,12 +466,10 @@ pub(super) fn run_round(
         estimator,
         total_gpus,
     };
-    let cached: Vec<Option<CachedParts>> = match (&tracker, &cls) {
-        (Some(t), Some(c)) if c.parts_reusable => {
-            jobs.iter().map(|s| t.parts.get(&s.id()).cloned()).collect()
-        }
-        _ => vec![None; jobs.len()],
-    };
+    let cached: Vec<Option<CachedParts>> = jobs
+        .iter()
+        .map(|s| cache.parts.get(&s.id()).cloned())
+        .collect();
     let missing: Vec<&JobSnapshot> = jobs
         .iter()
         .zip(&cached)
@@ -472,9 +510,7 @@ pub(super) fn run_round(
             Some(parts) => parts,
             None => {
                 let parts = built.next().expect("one built part per cache miss");
-                if let Some(t) = &mut tracker {
-                    t.parts.insert(id, parts.clone());
-                }
+                cache.parts.insert(id, parts.clone());
                 parts
             }
         };
@@ -488,20 +524,7 @@ pub(super) fn run_round(
         ctx.searches.push(parts.search);
     }
 
-    // The skip predicate of the incremental round: satiated-clean jobs
-    // skip their (provably no-op) visit unconditionally; quiet-clean jobs
-    // skip only while nothing has mutated the round state yet — the first
-    // lasting mutation voids every positional no-op certificate, and all
-    // later jobs are searched exactly as in a full round.
-    let may_skip = |state: &State<'_>, id: &JobId| -> bool {
-        cls.as_ref().is_some_and(|c| match c.verdict(ctx.idx(*id)) {
-            Verdict::SkipAlways => true,
-            Verdict::QuietSkip => state.changed.is_empty(),
-            Verdict::Dirty => false,
-        })
-    };
     let mut searched: u64 = 0;
-    let mut running_searched: u64 = 0;
 
     // ---- pass 1: privileged guaranteed jobs within quota ---------------
     let queued_guaranteed: Vec<JobId> = state
@@ -511,9 +534,6 @@ pub(super) fn run_round(
         .map(|s| s.id())
         .collect();
     for id in queued_guaranteed {
-        if may_skip(&state, &id) {
-            continue;
-        }
         if quota_allows(&ctx, &state, tenants, id) {
             searched += 1;
             schedule_job(&ctx, &mut state, id);
@@ -530,9 +550,6 @@ pub(super) fn run_round(
         .map(|s| s.id())
         .collect();
     for id in starving {
-        if may_skip(&state, &id) {
-            continue;
-        }
         searched += 1;
         schedule_job(&ctx, &mut state, id);
     }
@@ -564,10 +581,8 @@ pub(super) fn run_round(
         };
         slope * (1.0 + age)
     };
-    // Keys are computed once per job, not per comparison: the comparator
-    // used to re-derive them (curve queries) O(n log n) times, which
-    // dominated mostly-skipped incremental rounds. Same values, same
-    // tie-break, so the order — and every golden — is unchanged.
+    // Keys are computed once per job, not per comparison: deriving them
+    // in the comparator would repeat the curve queries O(n log n) times.
     let mut rest: Vec<(f64, JobId)> = rest
         .into_iter()
         .map(|id| (priority(&ctx, &state, &id), id))
@@ -575,73 +590,19 @@ pub(super) fn run_round(
     rest.sort_by(|(pa, a), (pb, b)| pb.total_cmp(pa).then(a.cmp(b)));
     let rest: Vec<JobId> = rest.into_iter().map(|(_, id)| id).collect();
     for id in rest {
-        if may_skip(&state, &id) {
-            continue;
-        }
         searched += 1;
-        if ctx.snap(id).status.is_running() {
-            running_searched += 1;
-        }
         schedule_job(&ctx, &mut state, id);
     }
 
     // ---- emit assignments ----------------------------------------------
-    // Quietness is judged *before* emit (emit only reads): a round with an
-    // empty changed-set left the state bit-identical to its start, which
-    // is exactly what next round's quiet-skip certificates need.
-    let quiet = state.changed.is_empty();
     let out = emit(&ctx, state);
-
-    // ---- record incremental memory for the next round -------------------
-    if let (Some(mut t), Some(c), Some(e)) = (tracker, cls, epoch_now) {
-        let running_total = jobs.iter().filter(|s| s.status.is_running()).count() as u64;
-        t.set_stats(RoundStats {
-            dirty: c.dirty_len(),
-            clean: c.clean_len(),
-            reused: running_total.saturating_sub(running_searched),
-            searched,
-            classified: c.classified,
-        });
-        let node_caps = e.node_caps.clone();
-        t.record(
-            jobs,
-            &out,
-            node_caps,
-            e,
-            quiet,
-            cfg.reconfig_threshold,
-            |id, alloc| is_satiated(&ctx, id, alloc),
-            Some(&ctx.index),
-        );
-        t.restore_index(std::mem::take(&mut ctx.index));
-    }
-    out
-}
-
-/// Whether `alloc` already satiates job `id`'s useful caps — the exact
-/// break condition at the top of [`schedule_job`]'s per-node loop, using
-/// the *running*-job GPU cap (the job will be running next round, since it
-/// is being emitted). A satiated job's visit provably never reads the free
-/// ledger or any victim, which is what licenses the tracker's
-/// unconditional skip.
-fn is_satiated(ctx: &Ctx<'_>, id: JobId, alloc: &Allocation) -> bool {
-    let snap = ctx.snap(id);
-    let total = alloc.total();
-    let cap_gpus = if !ctx.sched.config.resource_realloc {
-        snap.spec.requested.gpus
-    } else {
-        ctx.g_star(id)
+    cache.index = std::mem::take(&mut ctx.index);
+    let stats = RoundStats {
+        dirty: n as u64,
+        searched,
+        ..RoundStats::default()
     };
-    if cap_gpus == 0 {
-        return false;
-    }
-    let minimum = ctx.minimum(id);
-    let cap_cpus = if ctx.sched.config.resource_realloc {
-        (10 * cap_gpus + 4).max(minimum.cpus)
-    } else {
-        snap.spec.requested.cpus
-    };
-    total.gpus >= cap_gpus && total.cpus >= cap_cpus.min(total.gpus * 2 + 1)
+    (out, stats)
 }
 
 /// Remaining-quota check for a guaranteed job: the sum of minimum demands
@@ -723,6 +684,11 @@ fn schedule_job(ctx: &Ctx<'_>, state: &mut State<'_>, id: JobId) -> bool {
         .max(snap.spec.requested.mem_gb);
 
     let mut tentative = cur_alloc.clone();
+    // Built on the first victim search (see `victim_candidates`).
+    let mut candidates: Option<Vec<(usize, JobId)>> = None;
+    // `jump_gain` at the last GPU count it was asked for: most nodes leave
+    // the count unchanged, and the curve scan is the loop's costliest read.
+    let mut gain_at: Option<(u32, f64)> = None;
 
     // Node order: nodes the job already occupies first (consolidation),
     // then descending free GPUs.
@@ -764,16 +730,23 @@ fn schedule_job(ctx: &Ctx<'_>, state: &mut State<'_>, id: JobId) -> bool {
                 break;
             }
             let below_min = gpus_now < minimum.gpus;
-            let my_gain = ctx.jump_gain(id, gpus_now);
+            let my_gain = match gain_at {
+                Some((gpus, gain)) if gpus == gpus_now => gain,
+                _ => {
+                    let gain = ctx.jump_gain(id, gpus_now);
+                    gain_at = Some((gpus_now, gain));
+                    gain
+                }
+            };
             if !below_min && my_gain <= EPS_SLOPE {
                 break;
             }
-            let Some(victim) = lowest_slope_victim(ctx, state, n, id) else {
+            let cands = candidates.get_or_insert_with(|| victim_candidates(ctx, state, id));
+            let Some(victim) = lowest_slope_victim(ctx, state, cands, n) else {
                 break;
             };
             let victim_gpus = state.alloc[&victim].gpus();
-            let victim_loss = ctx.loss_slope(victim, victim_gpus);
-            if below_min || victim_loss < my_gain * SHRINK_HYSTERESIS {
+            if below_min || ctx.loss_slope(victim, victim_gpus) < my_gain * SHRINK_HYSTERESIS {
                 transfer_gpu(state, victim, n, &mut tentative);
             } else {
                 break;
@@ -861,21 +834,25 @@ fn schedule_job(ctx: &Ctx<'_>, state: &mut State<'_>, id: JobId) -> bool {
     true
 }
 
-/// `GetLowestSlopeOverMinJob`: the job on node `n` (other than `id`, not
-/// frozen, shrinkable) with the lowest normalized GPU loss slope.
-fn lowest_slope_victim(ctx: &Ctx<'_>, state: &State<'_>, n: usize, id: JobId) -> Option<JobId> {
-    // Note: the reconfiguration-penalty gate deliberately does NOT protect
-    // victims here. The gate (§5.2) limits how often a job reconfigures
-    // *for its own benefit*; being shrunk by a higher-slope job or
-    // preempted for an SLA is a scheduler decision the victim cannot veto
-    // (best-effort jobs "can be preempted by the system", §5.1). Churn is
-    // bounded instead by the slope comparison itself: a transfer only
-    // happens when it increases total normalized throughput.
+/// `GetLowestSlopeOverMinJob`: the job on node `n` that may still shrink
+/// with the lowest normalized GPU loss slope, among `candidates` (see
+/// [`victim_candidates`]).
+fn lowest_slope_victim(
+    ctx: &Ctx<'_>,
+    state: &State<'_>,
+    candidates: &[(usize, JobId)],
+    n: usize,
+) -> Option<JobId> {
+    let start = candidates.partition_point(|&(node, _)| node < n);
     let mut best: Option<(JobId, f64)> = None;
-    for (cand, alloc) in &state.alloc {
-        if *cand == id {
+    for &(_, cand) in candidates[start..]
+        .iter()
+        .take_while(|(node, _)| *node == n)
+    {
+        // Transfers earlier in the visit may have emptied the grant.
+        let Some(alloc) = state.alloc.get(&cand) else {
             continue;
-        }
+        };
         let on_node = alloc
             .per_node
             .iter()
@@ -886,25 +863,62 @@ fn lowest_slope_victim(ctx: &Ctx<'_>, state: &State<'_>, n: usize, id: JobId) ->
             continue;
         }
         let gpus = alloc.gpus();
-        if !ctx.can_shrink(*cand, gpus) {
+        if !ctx.can_shrink(cand, gpus) {
             continue;
         }
-        // A victim about to finish will release everything shortly; a
-        // restart would cost more GPU-time than the transfer recovers.
-        let c_snap = ctx.snap(*cand);
-        if let JobStatus::Running { throughput, .. } = &c_snap.status {
-            let remaining_secs =
-                c_snap.remaining_batches * c_snap.spec.global_batch as f64 / throughput.max(1e-9);
-            if remaining_secs < 3.0 * c_snap.spec.checkpoint_resume_secs() {
-                continue;
-            }
-        }
-        let loss = ctx.loss_slope(*cand, gpus);
+        let loss = ctx.loss_slope(cand, gpus);
         if best.as_ref().map(|(_, b)| loss < *b).unwrap_or(true) {
-            best = Some((*cand, loss));
+            best = Some((cand, loss));
         }
     }
     best.map(|(id, _)| id)
+}
+
+/// Every job a visit by `id` may take GPUs from, as `(node, job)` pairs
+/// sorted by node and then [`JobId`]: each other job that may shrink,
+/// under every node it holds GPUs on. A visit's transfers only take GPUs
+/// away from these jobs, so no pair joins the list mid-visit and it is
+/// built once per visit instead of scanning every allocation per node.
+fn victim_candidates(ctx: &Ctx<'_>, state: &State<'_>, id: JobId) -> Vec<(usize, JobId)> {
+    let mut out: Vec<(usize, JobId)> = state
+        .alloc
+        .iter()
+        .filter(|(cand, alloc)| **cand != id && may_shrink(ctx, **cand, alloc.gpus()))
+        .flat_map(|(cand, alloc)| {
+            alloc
+                .per_node
+                .iter()
+                .filter(|(_, r)| r.gpus > 0)
+                .map(move |(node, _)| (*node, *cand))
+        })
+        .collect();
+    out.sort_unstable();
+    out
+}
+
+/// Whether job `cand`, holding `gpus` GPUs, may lose one to another job.
+fn may_shrink(ctx: &Ctx<'_>, cand: JobId, gpus: u32) -> bool {
+    // Note: the reconfiguration-penalty gate deliberately does NOT protect
+    // victims here. The gate (§5.2) limits how often a job reconfigures
+    // *for its own benefit*; being shrunk by a higher-slope job or
+    // preempted for an SLA is a scheduler decision the victim cannot veto
+    // (best-effort jobs "can be preempted by the system", §5.1). Churn is
+    // bounded instead by the slope comparison itself: a transfer only
+    // happens when it increases total normalized throughput.
+    if !ctx.can_shrink(cand, gpus) {
+        return false;
+    }
+    // A victim about to finish will release everything shortly; a
+    // restart would cost more GPU-time than the transfer recovers.
+    let c_snap = ctx.snap(cand);
+    if let JobStatus::Running { throughput, .. } = &c_snap.status {
+        let remaining_secs =
+            c_snap.remaining_batches * c_snap.spec.global_batch as f64 / throughput.max(1e-9);
+        if remaining_secs < 3.0 * c_snap.spec.checkpoint_resume_secs() {
+            return false;
+        }
+    }
+    true
 }
 
 /// Moves one GPU (with a proportional CPU share) from `victim`'s grant on
@@ -1144,12 +1158,14 @@ fn emit(ctx: &Ctx<'_>, mut state: State<'_>) -> Vec<Assignment> {
 
 #[cfg(test)]
 mod tests {
+    use super::JobIndex;
     use crate::registry::ModelRegistry;
     use crate::rubick::RubickScheduler;
     use rubick_model::{ExecutionPlan, ModelSpec, NodeShape, Resources};
     use rubick_sim::cluster::Cluster;
     use rubick_sim::engine::{Engine, EngineConfig};
-    use rubick_sim::job::{JobClass, JobSpec};
+    use rubick_sim::job::{JobClass, JobSpec, JobStatus};
+    use rubick_sim::scheduler::JobSnapshot;
     use rubick_sim::tenant::{Tenant, TenantId};
     use rubick_sim::SimReport;
     use rubick_testbed::TestbedOracle;
@@ -1348,6 +1364,50 @@ mod tests {
         let report = run(&oracle, reg, 2, vec![], jobs);
         assert_eq!(report.jobs.len(), 6, "unfinished: {:?}", report.unfinished);
         assert_eq!(report.infeasible_assignments, 0);
+    }
+
+    fn queued(id: u64) -> JobSnapshot {
+        JobSnapshot {
+            spec: Arc::new(job(
+                id,
+                ModelSpec::roberta_large(),
+                1,
+                ExecutionPlan::dp(1),
+                1000,
+            )),
+            status: JobStatus::Queued,
+            remaining_batches: 1000.0,
+            queued_since: 0.0,
+            runtime: 0.0,
+            reconfig_count: 0,
+            baseline_throughput: None,
+        }
+    }
+
+    #[test]
+    fn job_index_dense_and_sparse_agree() {
+        let dense_jobs: Vec<JobSnapshot> = (0..40u64).map(queued).collect();
+        let mut ix = JobIndex::default();
+        ix.rebuild(&dense_jobs);
+        assert!(ix.dense);
+        for (pos, s) in dense_jobs.iter().enumerate() {
+            assert_eq!(ix.get(s.id()), Some(pos));
+        }
+        assert_eq!(ix.get(40), None);
+
+        // Sparse ids force the sorted-vec fallback.
+        let sparse_jobs: Vec<JobSnapshot> = (0..4u64).map(|i| queued(i * 1_000_000 + 17)).collect();
+        ix.rebuild(&sparse_jobs);
+        assert!(!ix.dense);
+        for (pos, s) in sparse_jobs.iter().enumerate() {
+            assert_eq!(ix.get(s.id()), Some(pos));
+        }
+        assert_eq!(ix.get(18), None);
+
+        // Rebuilding back to dense invalidates all stale entries.
+        ix.rebuild(&dense_jobs);
+        assert_eq!(ix.get(17), Some(17));
+        assert_eq!(ix.get(1_000_017), None);
     }
 }
 

@@ -4,8 +4,8 @@
 //! Pins the four contracts the subsystem promises:
 //!
 //! 1. **Re-plan coupling** — a material refit bumps the shared registry
-//!    version, so the *next* `round_planned` event classifies every job
-//!    dirty (the epoch fingerprint embeds the registry version).
+//!    version, and the *next* `round_planned` event re-plans every job
+//!    (none is reported clean).
 //! 2. **Determinism** — refit-enabled runs are byte-identical at any
 //!    `parallelism` setting: the hook runs on the engine's single apply
 //!    path, after the round's parallel search has fully completed.
@@ -152,8 +152,7 @@ fn jsonl(events: &[SimEvent]) -> String {
 }
 
 /// Contract 1: a `model_refit` event is followed by a round that
-/// classifies **every** job dirty — the registry-version bump voids all
-/// quiet-skip certificates through the existing epoch path.
+/// re-plans **every** job against the refitted model.
 #[test]
 fn material_refit_replans_every_job_next_round() {
     let specs = workload(24, 400);
@@ -186,8 +185,8 @@ fn material_refit_replans_every_job_next_round() {
     );
     assert_eq!(
         clean, 0,
-        "round {round} after a refit must not reuse any certificate \
-         (clean={clean}, dirty={dirty}) — the version bump invalidates all of them"
+        "round {round} after a refit must re-plan every job \
+         (clean={clean}, dirty={dirty})"
     );
 
     // The refit shows up in the event stream with a material shift and

@@ -714,11 +714,10 @@ mod tests {
         assert_eq!(a, b, "identical inputs must produce identical params");
         assert_eq!(fa.to_bits(), fb.to_bits());
         let v = a.to_vec();
-        for i in 0..7 {
+        for (i, x) in v.iter().enumerate() {
             assert!(
-                (super::LO[i]..=super::HI[i]).contains(&v[i]),
-                "param {i} escaped the box: {}",
-                v[i]
+                (super::LO[i]..=super::HI[i]).contains(x),
+                "param {i} escaped the box: {x}"
             );
         }
     }

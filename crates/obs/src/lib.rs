@@ -233,7 +233,7 @@ pub enum SimEvent {
     /// Incremental-planning statistics for one scheduling round (schema
     /// v3). Emitted right after the policy returns, before decisions are
     /// applied, and only when the engine is configured to surface them
-    /// (`emit_round_planned`) **and** the policy tracks dirty sets —
+    /// (`emit_round_planned`) **and** the policy reports round statistics —
     /// existing streams stay byte-identical by default.
     RoundPlanned {
         /// Simulation time, s.
@@ -2051,39 +2051,9 @@ impl<W: Write> EventSink for ProgressSink<W> {
     }
 }
 
-/// Fans one event stream out to two sinks (e.g. counters + JSONL file).
-pub struct TeeSink<'a> {
-    first: &'a mut dyn EventSink,
-    second: &'a mut dyn EventSink,
-}
-
-impl<'a> TeeSink<'a> {
-    /// Wraps two sinks; both observe every event in order.
-    pub fn new(first: &'a mut dyn EventSink, second: &'a mut dyn EventSink) -> TeeSink<'a> {
-        TeeSink { first, second }
-    }
-}
-
-impl EventSink for TeeSink<'_> {
-    fn on_event(&mut self, event: &SimEvent) {
-        self.first.on_event(event);
-        self.second.on_event(event);
-    }
-
-    fn on_round_latency(&mut self, nanos: u64) {
-        self.first.on_round_latency(nanos);
-        self.second.on_round_latency(nanos);
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.first.flush()?;
-        self.second.flush()
-    }
-}
-
-/// Fans one event stream out to any number of sinks, in order — the n-ary
-/// generalization of [`TeeSink`] for runs that combine, say, a JSONL log,
-/// a progress line, and a utilization timeline.
+/// Fans one event stream out to any number of sinks, in order — for runs
+/// that combine, say, a JSONL log, a progress line, and a utilization
+/// timeline.
 #[derive(Default)]
 pub struct FanoutSink<'a> {
     sinks: Vec<&'a mut dyn EventSink>,
@@ -2856,23 +2826,6 @@ mod tests {
         assert!(text.contains("\r[sim t=0s] running=0 queued=1 finished=0"));
         assert!(text.contains("\r[sim t=100s] running=0 queued=0 finished=1"));
         assert!(text.ends_with('\n'));
-    }
-
-    #[test]
-    fn tee_sink_feeds_both() {
-        let mut a = CountersSink::default();
-        let mut b = VecSink::default();
-        {
-            let mut tee = TeeSink::new(&mut a, &mut b);
-            for ev in sample_events() {
-                tee.on_event(&ev);
-            }
-            tee.on_round_latency(10);
-            tee.flush().unwrap();
-        }
-        assert_eq!(a.total_events(), sample_events().len() as u64);
-        assert_eq!(a.round_latency.count(), 1);
-        assert_eq!(b.events, sample_events());
     }
 
     #[test]

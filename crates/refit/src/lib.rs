@@ -23,9 +23,9 @@
 //! 4. A **material-change test** (relative envelope shift of predictions
 //!    over the window above the same threshold) decides whether the new
 //!    parameters are swapped into the shared [`ModelRegistry`]. A swap
-//!    bumps the registry version, which the incremental schedulers
-//!    fingerprint — so `DirtyTracker` re-plans every affected job on the
-//!    next round through the *existing* epoch path, no new plumbing.
+//!    bumps the registry version, which keys the Rubick policy's per-job
+//!    context cache — so the next round rebuilds every job's curve,
+//!    baseline and minimum demand from the new model, no new plumbing.
 //!
 //! ## Determinism
 //!

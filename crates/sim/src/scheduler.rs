@@ -75,8 +75,9 @@ impl JobSnapshot {
     }
 }
 
-/// Per-round incremental-planning statistics reported by schedulers that
-/// support dirty-set rounds (see `rubick-core`'s `DirtyTracker`).
+/// Per-round planning statistics a policy may report. The Rubick policy
+/// re-plans every job each round, so it reports every job as dirty,
+/// counts its plan searches in `searched`, and leaves the other fields 0.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RoundStats {
     /// Jobs whose planning inputs changed and were re-searched.
@@ -188,8 +189,7 @@ pub trait Scheduler: Send {
     }
 
     /// Statistics of the most recent scheduling round, for policies that
-    /// plan incrementally. `None` (the default) means the policy does not
-    /// track dirty sets.
+    /// report them. `None` (the default) means the policy reports none.
     fn last_round_stats(&self) -> Option<RoundStats> {
         None
     }
