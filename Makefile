@@ -12,6 +12,9 @@
 #                      workers and fail unless the CSVs are byte-identical,
 #                      then check that dropping --refit changes nothing
 #                      about a frozen-model run
+#   make perfbench-test  run the end-to-end benchmark's own test suite
+#                      (its wrappers around the scheduling policy must stay
+#                      transparent)
 #   make bench         scheduling-round latency benchmarks (BENCH_*.json)
 #   make bench-check   replay model/refit_update and fail on a >20%
 #                      regression of the fastest sample vs the committed
@@ -22,9 +25,10 @@
 # (opt-in: bench timings are machine-dependent, so the default CI gate
 # stays deterministic).
 
-.PHONY: verify fmt lint test build bench bench-check sweep-smoke serve-smoke refit-smoke
+.PHONY: verify fmt lint test build bench bench-check sweep-smoke serve-smoke refit-smoke \
+	perfbench-test
 
-verify: fmt lint test sweep-smoke serve-smoke refit-smoke
+verify: fmt lint test sweep-smoke serve-smoke refit-smoke perfbench-test
 
 ifeq ($(BENCH),1)
 verify: bench-check
@@ -108,6 +112,15 @@ refit-smoke:
 		> target/refit-smoke/frozen-hook.csv
 	cmp target/refit-smoke/frozen.csv target/refit-smoke/frozen-hook.csv
 	@echo "refit-smoke: byte-identical at 1 and 4 workers; inert hook changes nothing"
+
+# The benchmark under perfbench/ is its own Cargo workspace (it depends on
+# the crates above by path), so the workspace test run does not reach it.
+# Its tests check that the timing wrappers leave the policy's decisions
+# unchanged. Built into the benchmark's own target dir, as run.py does;
+# the path is absolute because one test runs cargo from perfbench/.
+perfbench-test:
+	CARGO_TARGET_DIR=$(CURDIR)/.bench_build cargo test --release --offline \
+		--manifest-path perfbench/Cargo.toml
 
 bench:
 	cargo bench -p rubick-bench --bench scheduling

@@ -15,7 +15,7 @@ use rubick_sim::scheduler::JobSnapshot;
 use std::sync::Arc;
 
 /// The plan-reconfiguration freedom a policy has.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PlanSearch {
     /// Enumerate every feasible plan and pick the best (Rubick, §5.2).
     Full,

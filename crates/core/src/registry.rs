@@ -120,10 +120,11 @@ impl ModelRegistry {
             return false;
         };
         let point = DataPoint::new(*plan, placement.clone(), global_batch, observed_iter_time);
-        if fitter.prediction_error(&point) <= fitter.refit_threshold {
+        let rel_err = fitter.prediction_error(&point);
+        if rel_err <= fitter.refit_threshold {
             return false;
         }
-        if fitter.observe(point) {
+        if fitter.observe_scored(point, rel_err) {
             let params = *fitter.params();
             drop(fitters);
             let Some(old) = self.model(model_name) else {

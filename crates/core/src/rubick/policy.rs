@@ -3,12 +3,17 @@
 use super::RubickScheduler;
 use crate::common::{job_baseline, job_gpu_curve, PlanSearch};
 use crate::round::RoundContext;
-use rubick_model::{ExecutionPlan, MemoryEstimator, Placement, Resources, SensitivityCurve};
+use rubick_model::{
+    ExecutionPlan, MemoryEstimator, Placement, Resources, SensitivityCurve, ThroughputModel,
+};
 use rubick_sim::cluster::{Allocation, Cluster};
 use rubick_sim::job::{JobClass, JobId, JobStatus};
 use rubick_sim::scheduler::{Assignment, JobSnapshot, RoundStats};
 use rubick_sim::tenant::Tenant;
-use std::collections::{BTreeMap, BTreeSet};
+use std::cell::RefCell;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// CPU transfer unit `Δr` (GPUs move one at a time).
@@ -22,18 +27,21 @@ const EPS_SLOPE: f64 = 1e-9;
 const SHRINK_HYSTERESIS: f64 = 0.45;
 
 /// The slice of a job's round context that does not change between
-/// rounds: plan-search mode, sensitivity curve, SLA baseline and minimum
-/// demand. The penalty gate (`frozen`) is *not* cached — it depends on the
-/// job's runtime and is recomputed every round.
+/// rounds: fitted model, plan-search mode, sensitivity curve, slope
+/// normalizer and minimum demand. The penalty gate (`frozen`) is *not*
+/// cached — it depends on the job's runtime and is recomputed every round.
 #[derive(Clone)]
 struct CachedParts {
+    /// The registry's fitted model for the job's type, if known.
+    model: Option<Arc<ThroughputModel>>,
     /// Plan-reconfiguration freedom (a function of the policy config and
     /// the job's immutable initial plan).
     search: PlanSearch,
     /// GPU sensitivity curve under `search`, if the model is known.
     curve: Option<Arc<SensitivityCurve>>,
-    /// SLA baseline throughput, if derivable.
-    baseline: Option<f64>,
+    /// Slope normalizer ([`slope_norm`]) from the job's SLA baseline and
+    /// curve peak.
+    norm: f64,
     /// Minimum resource demand (`MinRes` of Algorithm 1).
     minimum: Resources,
 }
@@ -51,6 +59,93 @@ pub(super) struct PartsCache {
     parts: BTreeMap<JobId, CachedParts>,
     /// The [`JobIndex`] allocation, recycled between rounds.
     index: JobIndex,
+    /// `GetBestPlan` results of the last round (`DESIGN.md` §8).
+    memo: PlanMemo,
+}
+
+/// `GetBestPlan` inputs: the fitted model (by address — every job of a
+/// type shares the registry's one `Arc`, which stays alive and unique
+/// until the registry version moves, and the memo is cleared then),
+/// global batch, search mode and placement. The placement's host memory
+/// is compared by bits, so equal keys mean bit-identical inputs.
+struct PlanKey {
+    model: usize,
+    global_batch: u32,
+    search: PlanSearch,
+    placement: Placement,
+}
+
+impl PartialEq for PlanKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.model == other.model
+            && self.global_batch == other.global_batch
+            && self.search == other.search
+            && self.placement.gpus_per_node == other.placement.gpus_per_node
+            && self.placement.cpus == other.placement.cpus
+            && self.placement.host_mem_gb.to_bits() == other.placement.host_mem_gb.to_bits()
+    }
+}
+
+impl Eq for PlanKey {}
+
+impl Hash for PlanKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.model.hash(state);
+        self.global_batch.hash(state);
+        self.search.hash(state);
+        self.placement.gpus_per_node.hash(state);
+        self.placement.cpus.hash(state);
+        self.placement.host_mem_gb.to_bits().hash(state);
+    }
+}
+
+/// Memo of `GetBestPlan` results (`DESIGN.md` §8). `best_plan` is pure in
+/// its [`PlanKey`] while the fitted models stay put, so a hit returns
+/// exactly what the search would. Within a round, jobs probe the same
+/// placements over and over while resources move between them; across
+/// rounds, a job whose grant did not change probes its old placement
+/// again. So an entry lives as long as some round uses it: each round
+/// drops the entries the previous round did not touch, which bounds the
+/// memo by two rounds' probes, and a registry-version change (a refit or
+/// a newly profiled type) clears it.
+#[derive(Default)]
+struct PlanMemo {
+    /// Registry version the entries were computed under.
+    version: Option<u64>,
+    /// Stamp of the current round.
+    round: u32,
+    /// Result per key, with the stamp of the last round that used it.
+    entries: HashMap<PlanKey, (u32, Option<(ExecutionPlan, f64)>)>,
+}
+
+impl PlanMemo {
+    /// Starts a round under registry `version`.
+    fn begin_round(&mut self, version: u64) {
+        if self.version != Some(version) {
+            self.entries.clear();
+            self.version = Some(version);
+        } else {
+            let last = self.round;
+            self.entries.retain(|_, (used, _)| *used == last);
+        }
+        self.round = self.round.wrapping_add(1);
+    }
+
+    /// The memoized `search.best_plan` for `key`, searching on a miss.
+    fn best_plan(&mut self, key: PlanKey, model: &ThroughputModel) -> Option<(ExecutionPlan, f64)> {
+        let round = self.round;
+        match self.entries.entry(key) {
+            Entry::Occupied(mut hit) => {
+                hit.get_mut().0 = round;
+                hit.get().1
+            }
+            Entry::Vacant(miss) => {
+                let k = miss.key();
+                let best = k.search.best_plan(model, k.global_batch, &k.placement);
+                miss.insert((round, best)).1
+            }
+        }
+    }
 }
 
 /// Generation-stamped dense map from [`JobId`] to a job's position in the
@@ -111,7 +206,8 @@ impl JobIndex {
     }
 }
 
-/// Per-round immutable context: snapshots, curves, baselines, minima.
+/// Per-round immutable context: snapshots, models, curves, slope
+/// normalizers, minima, and the [`PlanMemo`].
 /// Stored as dense vectors parallel to the jobs slice, addressed through
 /// the round's [`JobIndex`] — per-job probes are array reads instead of
 /// tree walks, which is what keeps 100k-job rounds cache-friendly.
@@ -119,13 +215,17 @@ struct Ctx<'a> {
     sched: &'a RubickScheduler,
     index: JobIndex,
     snaps: Vec<&'a JobSnapshot>,
+    models: Vec<Option<Arc<ThroughputModel>>>,
     searches: Vec<PlanSearch>,
     minima: Vec<Resources>,
-    baselines: Vec<Option<f64>>,
+    norms: Vec<f64>,
     curves: Vec<Option<Arc<SensitivityCurve>>>,
     frozen: Vec<bool>,
+    /// [`is_finishing`] per job: such jobs are never victims.
+    finishing: Vec<bool>,
     estimator: MemoryEstimator,
     total_gpus: u32,
+    memo: RefCell<PlanMemo>,
 }
 
 /// Mutable round state: the shared [`RoundContext`] ledger plus Rubick's
@@ -150,6 +250,10 @@ impl<'a> Ctx<'a> {
         self.snaps[self.idx(id)]
     }
 
+    fn model(&self, id: JobId) -> Option<&Arc<ThroughputModel>> {
+        self.models[self.idx(id)].as_ref()
+    }
+
     fn curve(&self, id: JobId) -> Option<&Arc<SensitivityCurve>> {
         self.curves[self.idx(id)].as_ref()
     }
@@ -158,30 +262,26 @@ impl<'a> Ctx<'a> {
         self.minima[self.idx(id)]
     }
 
-    fn search(&self, id: JobId) -> &PlanSearch {
-        &self.searches[self.idx(id)]
-    }
-
     fn is_frozen(&self, id: JobId) -> bool {
         self.frozen[self.idx(id)]
     }
 
-    /// Slope normalization constant: the geometric mean of the job's SLA
-    /// baseline (throughput of the user-requested configuration) and its
-    /// best achievable throughput on this cluster (curve peak). Baseline
-    /// normalization alone lets jobs with weak submitted plans dominate the
-    /// slope order (low average JCT but heavy churn and starved tails);
-    /// peak normalization alone is scale-free but sacrifices average JCT.
-    /// The geometric mean interpolates between the two.
     fn norm(&self, id: JobId) -> f64 {
+        self.norms[self.idx(id)]
+    }
+
+    /// `GetBestPlan` for job `id` on `placement` under the job's search
+    /// mode, through the [`PlanMemo`].
+    fn best_plan(&self, id: JobId, placement: Placement) -> Option<(ExecutionPlan, f64)> {
         let pos = self.idx(id);
-        let baseline = self.baselines[pos].unwrap_or(1.0).max(1e-9);
-        let peak = self.curves[pos]
-            .as_ref()
-            .map(|c| c.value(self.total_gpus))
-            .filter(|v| *v > 0.0)
-            .unwrap_or(baseline);
-        (baseline * peak).sqrt().max(1e-9)
+        let model = self.models[pos].as_ref()?;
+        let key = PlanKey {
+            model: Arc::as_ptr(model) as usize,
+            global_batch: self.snaps[pos].spec.global_batch,
+            search: self.searches[pos],
+            placement,
+        };
+        self.memo.borrow_mut().best_plan(key, model)
     }
 
     /// Jump-aware normalized gain: sensitivity curves are lumpy (a 30B
@@ -200,10 +300,13 @@ impl<'a> Ctx<'a> {
         }
     }
 
-    /// Normalized marginal loss of one fewer GPU at `gpus` (envelope step).
-    fn loss_slope(&self, id: JobId, gpus: u32) -> f64 {
-        self.curve(id)
-            .map(|c| c.loss_slope(gpus) / self.norm(id))
+    /// Normalized marginal loss of one fewer GPU at `gpus` (envelope step)
+    /// for the job at slice position `pos` (victim probes run once per
+    /// job per visit, so they skip the id lookup).
+    fn loss_slope(&self, pos: usize, gpus: u32) -> f64 {
+        self.curves[pos]
+            .as_ref()
+            .map(|c| c.loss_slope(gpus) / self.norms[pos])
             .unwrap_or(f64::INFINITY)
     }
 
@@ -222,22 +325,23 @@ impl<'a> Ctx<'a> {
             .unwrap_or(self.total_gpus)
     }
 
-    /// Whether shrinking `victim` from `gpus` to `gpus − 1` is permitted:
-    /// stay above its minimum, and either remain runnable or (best-effort
-    /// only) be preempted to zero.
-    fn can_shrink(&self, victim: JobId, gpus: u32) -> bool {
+    /// Whether shrinking the job at slice position `pos` from `gpus` to
+    /// `gpus − 1` is permitted: stay above its minimum, and either remain
+    /// runnable or (best-effort only) be preempted to zero.
+    fn can_shrink(&self, pos: usize, gpus: u32) -> bool {
         if gpus == 0 {
             return false;
         }
-        let min_gpus = self.minimum(victim).gpus;
+        let min_gpus = self.minima[pos].gpus;
         if gpus <= min_gpus {
             return false;
         }
         let new_gpus = gpus - 1;
         if new_gpus == 0 {
-            return self.snap(victim).spec.class == JobClass::BestEffort;
+            return self.snaps[pos].spec.class == JobClass::BestEffort;
         }
-        self.curve(victim)
+        self.curves[pos]
+            .as_ref()
             .map(|c| c.value(new_gpus) > 0.0)
             .unwrap_or(false)
     }
@@ -246,7 +350,7 @@ impl<'a> Ctx<'a> {
     /// evaluation; CPUs only matter for offloaded optimizers).
     fn cpu_gain(&self, id: JobId, plan: &ExecutionPlan, placement: &Placement) -> f64 {
         let snap = self.snap(id);
-        let Some(model) = self.sched.registry.model(&snap.spec.model.name) else {
+        let Some(model) = self.model(id) else {
             return 0.0;
         };
         let mut more = placement.clone();
@@ -270,7 +374,7 @@ impl<'a> Ctx<'a> {
             return f64::INFINITY;
         }
         let snap = self.snap(id);
-        let Some(model) = self.sched.registry.model(&snap.spec.model.name) else {
+        let Some(model) = self.model(id) else {
             return f64::INFINITY;
         };
         let mut fewer = placement.clone();
@@ -335,15 +439,21 @@ fn build_job_parts(
     } else {
         PlanSearch::Fixed(snap.spec.initial_plan)
     };
+    let curve = job_gpu_curve(
+        &sched.registry,
+        &search,
+        &snap.spec.model.name,
+        snap.spec.global_batch,
+        total_gpus,
+    );
     CachedParts {
-        curve: job_gpu_curve(
-            &sched.registry,
-            &search,
-            &snap.spec.model.name,
-            snap.spec.global_batch,
+        model: sched.registry.model(&snap.spec.model.name),
+        norm: slope_norm(
+            job_baseline(&sched.registry, snap),
+            curve.as_deref(),
             total_gpus,
         ),
-        baseline: job_baseline(&sched.registry, snap),
+        curve,
         minimum: super::minres::min_res(
             &sched.registry,
             snap,
@@ -353,6 +463,136 @@ fn build_job_parts(
         ),
         search,
     }
+}
+
+/// Slope normalization constant: the geometric mean of the job's SLA
+/// baseline (throughput of the user-requested configuration) and its best
+/// achievable throughput on this cluster (curve peak). Baseline
+/// normalization alone lets jobs with weak submitted plans dominate the
+/// slope order (low average JCT but heavy churn and starved tails); peak
+/// normalization alone is scale-free but sacrifices average JCT. The
+/// geometric mean interpolates between the two.
+fn slope_norm(baseline: Option<f64>, curve: Option<&SensitivityCurve>, total_gpus: u32) -> f64 {
+    let baseline = baseline.unwrap_or(1.0).max(1e-9);
+    let peak = curve
+        .map(|c| c.value(total_gpus))
+        .filter(|v| *v > 0.0)
+        .unwrap_or(baseline);
+    (baseline * peak).sqrt().max(1e-9)
+}
+
+/// Builds the round's [`Ctx`] (`DESIGN.md` §11): per-job parts from the
+/// [`PartsCache`] or freshly built, the round's penalty-gate and
+/// finishing flags, and the recycled [`JobIndex`] and [`PlanMemo`].
+fn build_ctx<'a>(
+    sched: &'a RubickScheduler,
+    cache: &mut PartsCache,
+    jobs: &'a [JobSnapshot],
+    cluster: &Cluster,
+) -> Ctx<'a> {
+    let cfg = &sched.config;
+    let total_gpus = cluster.schedulable_capacity().gpus;
+    // The per-job work (curve, baseline, minimum demand) is the round's
+    // hot path and is embarrassingly parallel: each entry is a pure
+    // function of (snapshot, registry). Entries are computed on worker
+    // threads and merged back in slice order, so the result is
+    // byte-identical to the sequential build at any thread count.
+    // One estimator per round (it is a cheap `Copy` of the cluster's GPU
+    // memory capacity), shared by every per-job minimum-demand search and
+    // the allocation passes below.
+    //
+    // Jobs seen in an earlier round reuse their cached parts; the cache
+    // key is read *after* the observe loop, so a refit this round bumps
+    // the registry version and rebuilds every entry.
+    let estimator = MemoryEstimator::new(cluster.shape().gpu_mem_gb);
+    let key = (sched.registry.version(), total_gpus);
+    if cache.key != Some(key) {
+        cache.parts.clear();
+        cache.key = Some(key);
+    }
+    let mut index = std::mem::take(&mut cache.index);
+    index.rebuild(jobs);
+    // Cached parts for jobs that left the system are dead weight.
+    cache.parts.retain(|id, _| index.get(*id).is_some());
+    let mut memo = std::mem::take(&mut cache.memo);
+    memo.begin_round(key.0);
+    let n = jobs.len();
+    let mut ctx = Ctx {
+        sched,
+        index,
+        snaps: Vec::with_capacity(n),
+        models: Vec::with_capacity(n),
+        searches: Vec::with_capacity(n),
+        minima: Vec::with_capacity(n),
+        norms: Vec::with_capacity(n),
+        curves: Vec::with_capacity(n),
+        frozen: Vec::with_capacity(n),
+        finishing: Vec::with_capacity(n),
+        estimator,
+        total_gpus,
+        memo: RefCell::new(memo),
+    };
+    let cached: Vec<Option<CachedParts>> = jobs
+        .iter()
+        .map(|s| cache.parts.get(&s.id()).cloned())
+        .collect();
+    let missing: Vec<&JobSnapshot> = jobs
+        .iter()
+        .zip(&cached)
+        .filter(|(_, hit)| hit.is_none())
+        .map(|(s, _)| s)
+        .collect();
+    let threads = effective_threads(cfg.parallelism, missing.len());
+    let built: Vec<CachedParts> = if threads <= 1 {
+        missing
+            .iter()
+            .map(|snap| build_job_parts(sched, snap, total_gpus, estimator))
+            .collect()
+    } else {
+        let chunk = missing.len().div_ceil(threads);
+        crossbeam::scope(|scope| {
+            let handles: Vec<_> = missing
+                .chunks(chunk)
+                .map(|part| {
+                    scope.spawn(move || {
+                        part.iter()
+                            .map(|snap| build_job_parts(sched, snap, total_gpus, estimator))
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("round context thread panicked"))
+                .collect()
+        })
+        .expect("round context scope panicked")
+    };
+    let mut built = built.into_iter();
+    for (snap, hit) in jobs.iter().zip(cached) {
+        let id = snap.id();
+        ctx.snaps.push(snap);
+        let parts = match hit {
+            Some(parts) => parts,
+            None => {
+                let parts = built.next().expect("one built part per cache miss");
+                cache.parts.insert(id, parts.clone());
+                parts
+            }
+        };
+        ctx.models.push(parts.model);
+        ctx.curves.push(parts.curve);
+        ctx.norms.push(parts.norm);
+        ctx.minima.push(parts.minimum);
+        // The penalty gate reads the job's accumulated runtime, which
+        // grows every round — never cached.
+        ctx.frozen
+            .push(snap.status.is_running() && !snap.reconfig_allowed(cfg.reconfig_threshold));
+        ctx.finishing.push(is_finishing(snap));
+        ctx.searches.push(parts.search);
+    }
+
+    ctx
 }
 
 /// Entry point called from [`Scheduler::schedule`](rubick_sim::Scheduler):
@@ -366,7 +606,6 @@ pub(super) fn run_round(
     tenants: &[Tenant],
 ) -> (Vec<Assignment>, RoundStats) {
     let cfg = &sched.config;
-    let total_gpus = cluster.schedulable_capacity().gpus;
 
     // ---- lazy profiling (phase ① of Fig. 4) -----------------------------
     // Unknown model types are profiled on first sight; their jobs stay in
@@ -431,98 +670,7 @@ pub(super) fn run_round(
     }
 
     // ---- build round context ------------------------------------------
-    // The per-job work (curve, baseline, minimum demand) is the round's
-    // hot path and is embarrassingly parallel: each entry is a pure
-    // function of (snapshot, registry). Entries are computed on worker
-    // threads and merged back in slice order, so the result is
-    // byte-identical to the sequential build at any thread count.
-    // One estimator per round (it is a cheap `Copy` of the cluster's GPU
-    // memory capacity), shared by every per-job minimum-demand search and
-    // the allocation passes below.
-    //
-    // Jobs seen in an earlier round reuse their cached parts; the cache
-    // key is read *after* the observe loop, so a refit this round bumps
-    // the registry version and rebuilds every entry.
-    let estimator = MemoryEstimator::new(cluster.shape().gpu_mem_gb);
-    let key = (sched.registry.version(), total_gpus);
-    if cache.key != Some(key) {
-        cache.parts.clear();
-        cache.key = Some(key);
-    }
-    let mut index = std::mem::take(&mut cache.index);
-    index.rebuild(jobs);
-    // Cached parts for jobs that left the system are dead weight.
-    cache.parts.retain(|id, _| index.get(*id).is_some());
-    let n = jobs.len();
-    let mut ctx = Ctx {
-        sched,
-        index,
-        snaps: Vec::with_capacity(n),
-        searches: Vec::with_capacity(n),
-        minima: Vec::with_capacity(n),
-        baselines: Vec::with_capacity(n),
-        curves: Vec::with_capacity(n),
-        frozen: Vec::with_capacity(n),
-        estimator,
-        total_gpus,
-    };
-    let cached: Vec<Option<CachedParts>> = jobs
-        .iter()
-        .map(|s| cache.parts.get(&s.id()).cloned())
-        .collect();
-    let missing: Vec<&JobSnapshot> = jobs
-        .iter()
-        .zip(&cached)
-        .filter(|(_, hit)| hit.is_none())
-        .map(|(s, _)| s)
-        .collect();
-    let threads = effective_threads(cfg.parallelism, missing.len());
-    let built: Vec<CachedParts> = if threads <= 1 {
-        missing
-            .iter()
-            .map(|snap| build_job_parts(sched, snap, total_gpus, estimator))
-            .collect()
-    } else {
-        let chunk = missing.len().div_ceil(threads);
-        crossbeam::scope(|scope| {
-            let handles: Vec<_> = missing
-                .chunks(chunk)
-                .map(|part| {
-                    scope.spawn(move || {
-                        part.iter()
-                            .map(|snap| build_job_parts(sched, snap, total_gpus, estimator))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("round context thread panicked"))
-                .collect()
-        })
-        .expect("round context scope panicked")
-    };
-    let mut built = built.into_iter();
-    for (snap, hit) in jobs.iter().zip(cached) {
-        let id = snap.id();
-        ctx.snaps.push(snap);
-        let parts = match hit {
-            Some(parts) => parts,
-            None => {
-                let parts = built.next().expect("one built part per cache miss");
-                cache.parts.insert(id, parts.clone());
-                parts
-            }
-        };
-        ctx.curves.push(parts.curve);
-        ctx.baselines.push(parts.baseline);
-        ctx.minima.push(parts.minimum);
-        // The penalty gate reads the job's accumulated runtime, which
-        // grows every round — never cached.
-        ctx.frozen
-            .push(snap.status.is_running() && !snap.reconfig_allowed(cfg.reconfig_threshold));
-        ctx.searches.push(parts.search);
-    }
+    let mut ctx = build_ctx(sched, cache, jobs, cluster);
 
     let mut searched: u64 = 0;
 
@@ -597,8 +745,9 @@ pub(super) fn run_round(
     // ---- emit assignments ----------------------------------------------
     let out = emit(&ctx, state);
     cache.index = std::mem::take(&mut ctx.index);
+    cache.memo = ctx.memo.into_inner();
     let stats = RoundStats {
-        dirty: n as u64,
+        dirty: jobs.len() as u64,
         searched,
         ..RoundStats::default()
     };
@@ -636,10 +785,9 @@ fn schedule_job(ctx: &Ctx<'_>, state: &mut State<'_>, id: JobId) -> bool {
     // amortization bar — see the commit guard below.
     let frozen = ctx.is_frozen(id);
     let snap = ctx.snap(id);
-    let Some(model) = ctx.sched.registry.model(&snap.spec.model.name) else {
+    let Some(model) = ctx.model(id) else {
         return false;
     };
-    let search = ctx.search(id);
     let backup = state.clone();
 
     let cur_alloc = state
@@ -689,6 +837,9 @@ fn schedule_job(ctx: &Ctx<'_>, state: &mut State<'_>, id: JobId) -> bool {
     // `jump_gain` at the last GPU count it was asked for: most nodes leave
     // the count unchanged, and the curve scan is the loop's costliest read.
     let mut gain_at: Option<(u32, f64)> = None;
+    // The lowest loss slope any victim could offer (`victim_slope_floor`),
+    // valid until the next transfer.
+    let mut floor: Option<f64> = None;
 
     // Node order: nodes the job already occupies first (consolidation),
     // then descending free GPUs.
@@ -741,20 +892,31 @@ fn schedule_job(ctx: &Ctx<'_>, state: &mut State<'_>, id: JobId) -> bool {
             if !below_min && my_gain <= EPS_SLOPE {
                 break;
             }
+            // No victim on any node beats the floor, so when the floor does
+            // not clear the hysteresis bar no node can yield a transfer.
+            if !below_min
+                && *floor.get_or_insert_with(|| victim_slope_floor(ctx, state, id))
+                    >= my_gain * SHRINK_HYSTERESIS
+            {
+                break;
+            }
             let cands = candidates.get_or_insert_with(|| victim_candidates(ctx, state, id));
             let Some(victim) = lowest_slope_victim(ctx, state, cands, n) else {
                 break;
             };
             let victim_gpus = state.alloc[&victim].gpus();
-            if below_min || ctx.loss_slope(victim, victim_gpus) < my_gain * SHRINK_HYSTERESIS {
+            if below_min
+                || ctx.loss_slope(ctx.idx(victim), victim_gpus) < my_gain * SHRINK_HYSTERESIS
+            {
                 transfer_gpu(state, victim, n, &mut tentative);
+                floor = None;
             } else {
                 break;
             }
         }
         // Reclaim CPUs similarly (relevant for offload-bound jobs).
         if ctx.sched.config.resource_realloc {
-            reclaim_cpus(ctx, state, n, id, &mut tentative, cap_cpus, &model);
+            reclaim_cpus(ctx, state, n, id, &mut tentative, cap_cpus);
         }
     }
 
@@ -764,9 +926,7 @@ fn schedule_job(ctx: &Ctx<'_>, state: &mut State<'_>, id: JobId) -> bool {
         *state = backup;
         return false;
     }
-    let placement = tentative.to_placement();
-    let Some((plan, mut tput)) = search.best_plan(&model, snap.spec.global_batch, &placement)
-    else {
+    let Some((plan, mut tput)) = ctx.best_plan(id, tentative.to_placement()) else {
         *state = backup;
         return false;
     };
@@ -778,9 +938,7 @@ fn schedule_job(ctx: &Ctx<'_>, state: &mut State<'_>, id: JobId) -> bool {
         if envelope > tput * 1.005 {
             if let Some(target) = curve.min_amount_reaching(envelope) {
                 shrink_alloc_to(state.round.free_mut(), &mut tentative, target);
-                let placement = tentative.to_placement();
-                if let Some((p2, t2)) = search.best_plan(&model, snap.spec.global_batch, &placement)
-                {
+                if let Some((p2, t2)) = ctx.best_plan(id, tentative.to_placement()) {
                     plan = p2;
                     tput = t2;
                 }
@@ -863,15 +1021,32 @@ fn lowest_slope_victim(
             continue;
         }
         let gpus = alloc.gpus();
-        if !ctx.can_shrink(cand, gpus) {
+        let pos = ctx.idx(cand);
+        if !ctx.can_shrink(pos, gpus) {
             continue;
         }
-        let loss = ctx.loss_slope(cand, gpus);
+        let loss = ctx.loss_slope(pos, gpus);
         if best.as_ref().map(|(_, b)| loss < *b).unwrap_or(true) {
             best = Some((cand, loss));
         }
     }
     best.map(|(id, _)| id)
+}
+
+/// The lowest normalized GPU loss slope among the jobs a visit by `id` may
+/// shrink, on any node. Every victim [`lowest_slope_victim`] can return is
+/// among them, so none has a lower slope; the steal loop stops when this
+/// floor does not clear the hysteresis bar, without building candidates.
+/// Only a GPU transfer changes it (CPU reclaim leaves GPU counts alone).
+fn victim_slope_floor(ctx: &Ctx<'_>, state: &State<'_>, id: JobId) -> f64 {
+    let mut floor = f64::INFINITY;
+    for (&cand, alloc) in &state.alloc {
+        let (pos, gpus) = (ctx.idx(cand), alloc.gpus());
+        if cand != id && may_shrink(ctx, pos, gpus) {
+            floor = floor.min(ctx.loss_slope(pos, gpus));
+        }
+    }
+    floor
 }
 
 /// Every job a visit by `id` may take GPUs from, as `(node, job)` pairs
@@ -883,7 +1058,7 @@ fn victim_candidates(ctx: &Ctx<'_>, state: &State<'_>, id: JobId) -> Vec<(usize,
     let mut out: Vec<(usize, JobId)> = state
         .alloc
         .iter()
-        .filter(|(cand, alloc)| **cand != id && may_shrink(ctx, **cand, alloc.gpus()))
+        .filter(|(cand, alloc)| **cand != id && may_shrink(ctx, ctx.idx(**cand), alloc.gpus()))
         .flat_map(|(cand, alloc)| {
             alloc
                 .per_node
@@ -896,8 +1071,9 @@ fn victim_candidates(ctx: &Ctx<'_>, state: &State<'_>, id: JobId) -> Vec<(usize,
     out
 }
 
-/// Whether job `cand`, holding `gpus` GPUs, may lose one to another job.
-fn may_shrink(ctx: &Ctx<'_>, cand: JobId, gpus: u32) -> bool {
+/// Whether the job at slice position `pos`, holding `gpus` GPUs, may lose
+/// one to another job.
+fn may_shrink(ctx: &Ctx<'_>, pos: usize, gpus: u32) -> bool {
     // Note: the reconfiguration-penalty gate deliberately does NOT protect
     // victims here. The gate (§5.2) limits how often a job reconfigures
     // *for its own benefit*; being shrunk by a higher-slope job or
@@ -905,20 +1081,21 @@ fn may_shrink(ctx: &Ctx<'_>, cand: JobId, gpus: u32) -> bool {
     // (best-effort jobs "can be preempted by the system", §5.1). Churn is
     // bounded instead by the slope comparison itself: a transfer only
     // happens when it increases total normalized throughput.
-    if !ctx.can_shrink(cand, gpus) {
-        return false;
-    }
-    // A victim about to finish will release everything shortly; a
-    // restart would cost more GPU-time than the transfer recovers.
-    let c_snap = ctx.snap(cand);
-    if let JobStatus::Running { throughput, .. } = &c_snap.status {
-        let remaining_secs =
-            c_snap.remaining_batches * c_snap.spec.global_batch as f64 / throughput.max(1e-9);
-        if remaining_secs < 3.0 * c_snap.spec.checkpoint_resume_secs() {
-            return false;
+    ctx.can_shrink(pos, gpus) && !ctx.finishing[pos]
+}
+
+/// Whether a running job is about to finish: it will release everything
+/// shortly, and a restart would cost more GPU-time than a transfer from it
+/// recovers. Fixed for the round, so computed once per job.
+fn is_finishing(snap: &JobSnapshot) -> bool {
+    match &snap.status {
+        JobStatus::Running { throughput, .. } => {
+            let remaining_secs =
+                snap.remaining_batches * snap.spec.global_batch as f64 / throughput.max(1e-9);
+            remaining_secs < 3.0 * snap.spec.checkpoint_resume_secs()
         }
+        _ => false,
     }
-    true
 }
 
 /// Moves one GPU (with a proportional CPU share) from `victim`'s grant on
@@ -951,9 +1128,7 @@ fn reclaim_cpus(
     id: JobId,
     tentative: &mut Allocation,
     cap_cpus: u32,
-    model: &rubick_model::ThroughputModel,
 ) {
-    let snap = ctx.snap(id);
     // Only bother when the job has GPUs on this node already.
     if !tentative
         .per_node
@@ -968,10 +1143,7 @@ fn reclaim_cpus(
             break;
         }
         let placement = tentative.to_placement();
-        let Some((plan, _)) = ctx
-            .search(id)
-            .best_plan(model, snap.spec.global_batch, &placement)
-        else {
+        let Some((plan, _)) = ctx.best_plan(id, placement.clone()) else {
             break;
         };
         let my_gain = ctx.cpu_gain(id, &plan, &placement);
@@ -1092,25 +1264,21 @@ fn emit(ctx: &Ctx<'_>, mut state: State<'_>) -> Vec<Assignment> {
                 continue;
             }
         }
-        let Some(model) = ctx.sched.registry.model(&snap.spec.model.name) else {
+        let Some(model) = ctx.model(id) else {
             continue;
         };
         let mut alloc = alloc;
         let placement = alloc.to_placement();
-        let best = ctx
-            .search(id)
-            .best_plan(&model, snap.spec.global_batch, &placement)
-            .or_else(|| {
-                // The exact GPU count has no valid plan (common under
-                // DP-rescaling, whose valid counts are sparse): trim the
-                // allocation down to the largest runnable amount instead of
-                // preempting the job outright.
-                let curve = ctx.curve(id)?;
-                let (plan, _) = curve.best_plan_at(alloc.gpus())?;
-                shrink_alloc_to(state.round.free_mut(), &mut alloc, plan.gpus());
-                ctx.search(id)
-                    .best_plan(&model, snap.spec.global_batch, &alloc.to_placement())
-            });
+        let best = ctx.best_plan(id, placement.clone()).or_else(|| {
+            // The exact GPU count has no valid plan (common under
+            // DP-rescaling, whose valid counts are sparse): trim the
+            // allocation down to the largest runnable amount instead of
+            // preempting the job outright.
+            let curve = ctx.curve(id)?;
+            let (plan, _) = curve.best_plan_at(alloc.gpus())?;
+            shrink_alloc_to(state.round.free_mut(), &mut alloc, plan.gpus());
+            ctx.best_plan(id, alloc.to_placement())
+        });
         let Some((plan, _)) = best else {
             // Genuinely no feasible plan: preempt to queue.
             continue;
@@ -1158,11 +1326,13 @@ fn emit(ctx: &Ctx<'_>, mut state: State<'_>) -> Vec<Assignment> {
 
 #[cfg(test)]
 mod tests {
-    use super::JobIndex;
+    use super::{build_ctx, schedule_job, JobIndex, PartsCache, State, SHRINK_HYSTERESIS};
     use crate::registry::ModelRegistry;
+    use crate::round::RoundContext;
     use crate::rubick::RubickScheduler;
-    use rubick_model::{ExecutionPlan, ModelSpec, NodeShape, Resources};
-    use rubick_sim::cluster::Cluster;
+    use rubick_model::resources::ResourceKind;
+    use rubick_model::{ExecutionPlan, ModelSpec, NodeShape, Resources, SensitivityCurve};
+    use rubick_sim::cluster::{Allocation, Cluster};
     use rubick_sim::engine::{Engine, EngineConfig};
     use rubick_sim::job::{JobClass, JobSpec, JobStatus};
     use rubick_sim::scheduler::JobSnapshot;
@@ -1382,6 +1552,99 @@ mod tests {
             reconfig_count: 0,
             baseline_throughput: None,
         }
+    }
+
+    fn running(spec: JobSpec, cpus: u32) -> JobSnapshot {
+        JobSnapshot {
+            status: JobStatus::Running {
+                allocation: Allocation::on_node(
+                    0,
+                    Resources::new(spec.requested.gpus, cpus, spec.requested.mem_gb),
+                ),
+                plan: spec.initial_plan,
+                throughput: 10.0,
+                resume_at: 0.0,
+            },
+            remaining_batches: spec.target_batches as f64,
+            queued_since: 0.0,
+            runtime: 1.0e5,
+            reconfig_count: 0,
+            baseline_throughput: None,
+            spec: Arc::new(spec),
+        }
+    }
+
+    /// One visit of the steal loop on a full 8-GPU node: a running GPT-2
+    /// job on 2 GPUs grows against a best-effort job on 6 GPUs whose GPU
+    /// curve is linear with slope `victim_vs_gain` times the grower's
+    /// normalized gain. Neither job is below its minimum, so only the
+    /// slope rule can move a GPU. Returns both jobs' GPUs after the visit.
+    fn steal_visit(victim_vs_gain: f64) -> (u32, u32) {
+        let oracle = TestbedOracle::new(27);
+        let reg = registry(&oracle, &[ModelSpec::gpt2_xl(), ModelSpec::roberta_large()]);
+        let sched = RubickScheduler::new(reg);
+        let grower = running(
+            job(
+                1,
+                ModelSpec::gpt2_xl(),
+                2,
+                ExecutionPlan::zero_dp(2),
+                1_000_000,
+            ),
+            16,
+        );
+        let mut victim = job(
+            2,
+            ModelSpec::roberta_large(),
+            6,
+            ExecutionPlan::dp(6),
+            1_000_000,
+        );
+        victim.class = JobClass::BestEffort;
+        let jobs = vec![grower, running(victim, 48)];
+        let cluster = Cluster::new(1, NodeShape::a800());
+
+        let mut cache = PartsCache::default();
+        let mut ctx = build_ctx(&sched, &mut cache, &jobs, &cluster);
+        ctx.minima = vec![Resources::zero(); 2];
+        let gain = ctx.jump_gain(1, 2);
+        assert!(gain > 0.0, "the grower gains from a third GPU");
+        let slope = victim_vs_gain * gain;
+        let plan = ExecutionPlan::dp(1);
+        ctx.curves[1] = Some(Arc::new(SensitivityCurve::from_fn(
+            ResourceKind::Gpu,
+            8,
+            |g| Some((plan, slope * g as f64)),
+        )));
+        ctx.norms[1] = 1.0;
+        let loss = ctx.loss_slope(1, 6);
+        assert!(loss < gain, "without hysteresis the transfer would pay off");
+
+        let mut state = State {
+            round: RoundContext::new(&cluster, &jobs),
+            alloc: Default::default(),
+            changed: Default::default(),
+        };
+        for (id, alloc) in state.round.charge_running() {
+            state.alloc.insert(id, alloc);
+        }
+        assert_eq!(state.round.free()[0].gpus, 0, "the node is full");
+        schedule_job(&ctx, &mut state, 1);
+        let gpus = |id| state.alloc.get(&id).map(|a| a.gpus()).unwrap_or(0);
+        (gpus(1), gpus(2))
+    }
+
+    #[test]
+    fn steep_grower_takes_gpus_from_flat_best_effort_job() {
+        let (grower, victim) = steal_visit(0.1);
+        assert!(grower > 2, "the grower took a GPU: {grower}");
+        assert!(victim < 6, "the flat victim gave one up: {victim}");
+    }
+
+    #[test]
+    fn hysteresis_blocks_a_transfer_that_would_pay_off() {
+        let factor = (1.0 + SHRINK_HYSTERESIS) / 2.0;
+        assert_eq!(steal_visit(factor), (2, 6));
     }
 
     #[test]

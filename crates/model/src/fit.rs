@@ -17,7 +17,7 @@
 
 use crate::env::ClusterEnv;
 use crate::error::ModelError;
-use crate::perf::PerfParams;
+use crate::perf::{IterTerms, PerfParams};
 use crate::placement::Placement;
 use crate::plan::ExecutionPlan;
 use crate::spec::ModelSpec;
@@ -108,12 +108,39 @@ pub struct FitResult {
     pub evaluations: usize,
 }
 
+/// A data point compiled for repeated evaluation: its parameter-free
+/// Eq. (1) terms and `ln(1 + observed)`.
+struct Compiled {
+    terms: IterTerms,
+    ln_observed: f64,
+}
+
+/// Compiles every point once per fit (`gpu_flops` anchors `T_fwd`).
+fn compile(
+    spec: &ModelSpec,
+    env: &ClusterEnv,
+    points: &[DataPoint],
+    gpu_flops: f64,
+) -> Vec<Compiled> {
+    points
+        .iter()
+        .map(|p| Compiled {
+            terms: IterTerms::new(spec, &p.plan, p.global_batch, &p.placement, env, gpu_flops),
+            ln_observed: (1.0 + p.iter_time).ln(),
+        })
+        .collect()
+}
+
+/// Log-error of one compiled point under `params`.
+fn log_error(params: &PerfParams, point: &Compiled) -> f64 {
+    (1.0 + point.terms.iter_time(params)).ln() - point.ln_observed
+}
+
 /// RMSLE between predicted and observed iteration times.
-fn rmsle(params: &PerfParams, spec: &ModelSpec, env: &ClusterEnv, points: &[DataPoint]) -> f64 {
+fn rmsle(params: &PerfParams, points: &[Compiled]) -> f64 {
     let mut acc = 0.0;
     for p in points {
-        let pred = params.iter_time(spec, &p.plan, p.global_batch, &p.placement, env);
-        let d = (1.0 + pred).ln() - (1.0 + p.iter_time).ln();
+        let d = log_error(params, p);
         acc += d * d;
     }
     (acc / points.len() as f64).sqrt()
@@ -266,10 +293,8 @@ pub fn fit_perf_params(
         });
     }
     let mut rng = SmallRng::seed_from_u64(opts.seed);
-    let objective = |v: &[f64; 7]| {
-        let params = PerfParams::from_vec(v, opts.gpu_flops);
-        rmsle(&params, spec, env, points)
-    };
+    let compiled = compile(spec, env, points, opts.gpu_flops);
+    let objective = |v: &[f64; 7]| rmsle(&PerfParams::from_vec(v, opts.gpu_flops), &compiled);
 
     let mut best: Option<([f64; 7], f64)> = None;
     let mut total_evals = 0usize;
@@ -374,18 +399,17 @@ pub fn refit_step(
     points: &[DataPoint],
 ) -> (PerfParams, f64) {
     assert!(!points.is_empty(), "refit_step needs at least one point");
+    step(&compile(spec, env, points, params.gpu_flops), params)
+}
+
+/// [`refit_step`] on points compiled with `params.gpu_flops`.
+fn step(compiled: &[Compiled], params: &PerfParams) -> (PerfParams, f64) {
     let gpu_flops = params.gpu_flops;
     let mut x = params.to_vec();
     project(&mut x);
     let residuals = |v: &[f64; 7]| -> Vec<f64> {
         let p = PerfParams::from_vec(v, gpu_flops);
-        points
-            .iter()
-            .map(|pt| {
-                let pred = p.iter_time(spec, &pt.plan, pt.global_batch, &pt.placement, env);
-                (1.0 + pred).ln() - (1.0 + pt.iter_time).ln()
-            })
-            .collect()
+        compiled.iter().map(|pt| log_error(&p, pt)).collect()
     };
     let cost = |r: &[f64]| (r.iter().map(|d| d * d).sum::<f64>() / r.len() as f64).sqrt();
     let r0 = residuals(&x);
@@ -398,7 +422,7 @@ pub fn refit_step(
     // fraction of the box so conditioning does not depend on the current
     // value; a backward difference is used at the upper bound so clamping
     // never zeroes a column.
-    let m = points.len();
+    let m = compiled.len();
     let mut jac: Vec<[f64; 7]> = vec![[0.0; 7]; m];
     for j in 0..7 {
         let h = 1e-5 * (HI[j] - LO[j]);
@@ -464,10 +488,13 @@ pub fn refit_params(
     points: &[DataPoint],
     max_steps: usize,
 ) -> (PerfParams, f64) {
+    assert!(!points.is_empty(), "refit_params needs at least one point");
+    // Every step keeps `gpu_flops`, so one compilation serves them all.
+    let compiled = compile(spec, env, points, params.gpu_flops);
     let mut current = *params;
     let mut best = f64::INFINITY;
     for _ in 0..max_steps.max(1) {
-        let (next, err) = refit_step(spec, env, &current, points);
+        let (next, err) = step(&compiled, &current);
         // `improved` is false for NaN too, ending the loop.
         let improved = err + 1e-9 < best;
         if !improved {
@@ -556,6 +583,13 @@ impl OnlineFitter {
     /// kept (they anchor the offload parameters), and only the most recent
     /// online observations beyond that are retained.
     pub fn observe(&mut self, point: DataPoint) -> bool {
+        let rel_err = self.prediction_error(&point);
+        self.observe_scored(point, rel_err)
+    }
+
+    /// [`observe`](OnlineFitter::observe) for a caller that already
+    /// computed `rel_err = self.prediction_error(&point)`.
+    pub fn observe_scored(&mut self, point: DataPoint, rel_err: f64) -> bool {
         const MAX_POINTS: usize = 28;
         // A configuration we already learned from carries no new
         // information — refitting on it again would just thrash on
@@ -567,7 +601,6 @@ impl OnlineFitter {
         {
             return false;
         }
-        let rel_err = self.prediction_error(&point);
         self.points.push(point);
         if self.points.len() > MAX_POINTS {
             // Drop the oldest *online* point (keep the profiled prefix).
@@ -689,7 +722,7 @@ mod tests {
             k_sync: truth.k_sync * 0.6,
             ..truth
         };
-        let before = rmsle(&start, &spec, &env, &points);
+        let before = rmsle(&start, &compile(&spec, &env, &points, start.gpu_flops));
         let (stepped, after) = refit_step(&spec, &env, &start, &points);
         assert!(after < before, "one step must improve: {after} vs {before}");
         let (_, converged) = refit_params(&spec, &env, &stepped, &points, 16);

@@ -202,26 +202,6 @@ impl PerfParams {
         }
     }
 
-    /// Forward-pass time of one *pass* (one GA step, or the `(m+p−1)`-step
-    /// pipeline schedule under PP), in seconds.
-    fn t_fwd(&self, spec: &ModelSpec, plan: &ExecutionPlan, global_batch: u32) -> f64 {
-        let d = plan.parallel.dp as f64;
-        let t = plan.parallel.tp as f64;
-        let p = plan.parallel.pp as f64;
-        let b = global_batch as f64;
-        let flops = spec.fwd_flops_per_sample();
-        if plan.parallel.pp > 1 {
-            let m = plan.micro_batches as f64;
-            // One micro-batch through one stage holding l/p layers:
-            let t_stage = flops * (b / (d * m)) / (t * p) / self.gpu_flops;
-            // 1F1B: fill (p−1) bubbles plus m micro-batches serially.
-            t_stage * (m + p - 1.0)
-        } else {
-            let a = plan.ga_steps as f64;
-            flops * (b / (d * a)) / t / self.gpu_flops
-        }
-    }
-
     /// Predicts the end-to-end iteration time `T_iter` in seconds (Eq. 1).
     ///
     /// This is the *structural* prediction only; it does not check memory
@@ -235,51 +215,7 @@ impl PerfParams {
         placement: &Placement,
         env: &ClusterEnv,
     ) -> f64 {
-        let topo = CommTopology::derive(&plan.parallel, placement, env);
-        let vol = volumes(spec, plan, global_batch);
-        let gb = 1.0e9;
-        let t_comm_dp = vol.dp_bytes / (topo.b_dp * gb);
-        let t_comm_tp = vol.tp_bytes / (topo.b_tp * gb);
-        let t_comm_pp = vol.pp_bytes / (topo.b_pp * gb);
-
-        let t_fwd = self.t_fwd(spec, plan, global_batch);
-        // GC adds one forward-pass worth of recomputation to the backward pass.
-        let t_bwd = self.k_bwd * t_fwd + if plan.gc { t_fwd } else { 0.0 };
-
-        let d = plan.parallel.dp as f64;
-        let offload = plan.memory == MemoryMode::ZeroOffload;
-
-        let t_cc = if offload {
-            // DP sync is overlapped with offloading inside T_oo instead.
-            let a = plan.ga_steps as f64;
-            a * t_fwd + a * t_bwd + t_comm_tp + t_comm_pp
-        } else if plan.ga_steps > 1 {
-            let a = plan.ga_steps as f64;
-            a * t_fwd
-                + (a - 1.0) * t_bwd
-                + f_overlap(self.k_sync, t_bwd, t_comm_dp)
-                + t_comm_tp
-                + t_comm_pp
-        } else {
-            t_fwd + f_overlap(self.k_sync, t_bwd, t_comm_dp) + t_comm_tp + t_comm_pp
-        };
-
-        let t_oo = if offload {
-            let c = placement.cpus.max(1) as f64;
-            let t_opt = self.k_opt_off * spec.params_b() / (d * c);
-            let t_off = vol.pcie_bytes / (env.b_pcie * gb);
-            f_overlap(self.k_off, t_comm_dp, t_off) + f_overlap(self.k_swap, t_opt, t_off)
-        } else {
-            // 3D parallelism partitions parameters by t·p; the ZeRO
-            // variants by d.
-            let x = match plan.memory {
-                MemoryMode::Zero2 | MemoryMode::Zero3 => d,
-                _ => (plan.parallel.tp * plan.parallel.pp) as f64,
-            };
-            self.k_opt * spec.params_b() / x
-        };
-
-        t_cc + t_oo + self.k_const
+        IterTerms::new(spec, plan, global_batch, placement, env, self.gpu_flops).iter_time(self)
     }
 
     /// Predicted throughput in samples/second: `b / T_iter`.
@@ -292,6 +228,130 @@ impl PerfParams {
         env: &ClusterEnv,
     ) -> f64 {
         global_batch as f64 / self.iter_time(spec, plan, global_batch, placement, env)
+    }
+}
+
+/// The parts of Eq. (1) that do not depend on the fittable `k_*`
+/// parameters: communication times, `T_fwd`, the offload transfer time and
+/// the optimizer-term operands of one `(plan, batch, placement)` point.
+///
+/// A fit evaluates Eq. (1) on the same points thousands of times with
+/// different parameters; compiling each point once leaves only the
+/// parameter-dependent arithmetic per evaluation.
+/// [`iter_time`](IterTerms::iter_time) performs that arithmetic in the
+/// original operation order, so it is bit-identical to
+/// [`PerfParams::iter_time`] (which is defined through it).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct IterTerms {
+    /// Forward-pass time of one *pass* (one GA step, or the `(m+p−1)`-step
+    /// pipeline schedule under PP), seconds.
+    t_fwd: f64,
+    /// Gradient-checkpointing recomputation added to the backward pass:
+    /// `T_fwd` under GC, else 0.
+    t_recompute: f64,
+    /// Gradient-accumulation steps `a`.
+    ga: f64,
+    offload: bool,
+    t_comm_dp: f64,
+    t_comm_tp: f64,
+    t_comm_pp: f64,
+    /// Host ↔ GPU transfer time (ZeRO-Offload only).
+    t_off: f64,
+    params_b: f64,
+    /// Divisor of the optimizer term: `d·c` under ZeRO-Offload, `d` for
+    /// the ZeRO variants, `t·p` for 3D parallelism.
+    opt_div: f64,
+}
+
+impl IterTerms {
+    /// Compiles one point of Eq. (1): topology, volumes and `T_fwd` from
+    /// the profiled per-GPU throughput `gpu_flops`.
+    pub fn new(
+        spec: &ModelSpec,
+        plan: &ExecutionPlan,
+        global_batch: u32,
+        placement: &Placement,
+        env: &ClusterEnv,
+        gpu_flops: f64,
+    ) -> Self {
+        let topo = CommTopology::derive(&plan.parallel, placement, env);
+        let vol = volumes(spec, plan, global_batch);
+        let gb = 1.0e9;
+        let d = plan.parallel.dp as f64;
+        let t = plan.parallel.tp as f64;
+        let p = plan.parallel.pp as f64;
+        let b = global_batch as f64;
+        let flops = spec.fwd_flops_per_sample();
+        let t_fwd = if plan.parallel.pp > 1 {
+            let m = plan.micro_batches as f64;
+            // One micro-batch through one stage holding l/p layers:
+            let t_stage = flops * (b / (d * m)) / (t * p) / gpu_flops;
+            // 1F1B: fill (p−1) bubbles plus m micro-batches serially.
+            t_stage * (m + p - 1.0)
+        } else {
+            let a = plan.ga_steps as f64;
+            flops * (b / (d * a)) / t / gpu_flops
+        };
+        let offload = plan.memory == MemoryMode::ZeroOffload;
+        let opt_div = if offload {
+            d * placement.cpus.max(1) as f64
+        } else {
+            // 3D parallelism partitions parameters by t·p; the ZeRO
+            // variants by d.
+            match plan.memory {
+                MemoryMode::Zero2 | MemoryMode::Zero3 => d,
+                _ => (plan.parallel.tp * plan.parallel.pp) as f64,
+            }
+        };
+        IterTerms {
+            t_fwd,
+            // GC adds one forward-pass worth of recomputation to the
+            // backward pass.
+            t_recompute: if plan.gc { t_fwd } else { 0.0 },
+            ga: plan.ga_steps as f64,
+            offload,
+            t_comm_dp: vol.dp_bytes / (topo.b_dp * gb),
+            t_comm_tp: vol.tp_bytes / (topo.b_tp * gb),
+            t_comm_pp: vol.pp_bytes / (topo.b_pp * gb),
+            t_off: if offload {
+                vol.pcie_bytes / (env.b_pcie * gb)
+            } else {
+                0.0
+            },
+            params_b: spec.params_b(),
+            opt_div,
+        }
+    }
+
+    /// `T_iter` in seconds (Eq. 1) under `params`' `k_*` values
+    /// (`params.gpu_flops` is not read: it was fixed at compile time).
+    pub fn iter_time(&self, params: &PerfParams) -> f64 {
+        let t_fwd = self.t_fwd;
+        let t_bwd = params.k_bwd * t_fwd + self.t_recompute;
+        let a = self.ga;
+        let t_cc = if self.offload {
+            // DP sync is overlapped with offloading inside T_oo instead.
+            a * t_fwd + a * t_bwd + self.t_comm_tp + self.t_comm_pp
+        } else if a > 1.0 {
+            a * t_fwd
+                + (a - 1.0) * t_bwd
+                + f_overlap(params.k_sync, t_bwd, self.t_comm_dp)
+                + self.t_comm_tp
+                + self.t_comm_pp
+        } else {
+            t_fwd
+                + f_overlap(params.k_sync, t_bwd, self.t_comm_dp)
+                + self.t_comm_tp
+                + self.t_comm_pp
+        };
+        let t_oo = if self.offload {
+            let t_opt = params.k_opt_off * self.params_b / self.opt_div;
+            f_overlap(params.k_off, self.t_comm_dp, self.t_off)
+                + f_overlap(params.k_swap, t_opt, self.t_off)
+        } else {
+            params.k_opt * self.params_b / self.opt_div
+        };
+        t_cc + t_oo + params.k_const
     }
 }
 

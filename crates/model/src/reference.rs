@@ -3,7 +3,8 @@
 //! These are the pre-optimization code paths, kept verbatim so the
 //! allocation-free [`PlanEnumerator`](crate::plan::PlanEnumerator), the
 //! [`PlanSetCache`](crate::planset::PlanSetCache)-backed
-//! [`best_plan`](crate::perf::ThroughputModel::best_plan) fast path and the
+//! [`best_plan`](crate::perf::ThroughputModel::best_plan) fast path, the
+//! compiled Eq. (1) terms ([`IterTerms`](crate::perf::IterTerms)) and the
 //! O(1) curve envelopes can be *proven* output-identical by property tests
 //! (`crates/model/tests/plan_search_equiv.rs`) and benchmarked against as
 //! the cold/naive side in `crates/bench/benches/modeling.rs`.
@@ -14,11 +15,87 @@
 use crate::curve::{CurvePoint, SensitivityCurve};
 use crate::env::ClusterEnv;
 use crate::memory::MemoryEstimator;
-use crate::perf::ThroughputModel;
-use crate::placement::Placement;
+use crate::perf::{f_overlap, volumes, PerfParams, ThroughputModel};
+use crate::placement::{CommTopology, Placement};
 use crate::plan::{ExecutionPlan, MemoryMode, Parallelism};
 use crate::resources::{NodeShape, ResourceKind};
 use crate::spec::ModelSpec;
+
+/// The original forward-pass time of one *pass* (one GA step, or the
+/// `(m+p−1)`-step pipeline schedule under PP), in seconds.
+fn t_fwd_naive(
+    params: &PerfParams,
+    spec: &ModelSpec,
+    plan: &ExecutionPlan,
+    global_batch: u32,
+) -> f64 {
+    let d = plan.parallel.dp as f64;
+    let t = plan.parallel.tp as f64;
+    let p = plan.parallel.pp as f64;
+    let b = global_batch as f64;
+    let flops = spec.fwd_flops_per_sample();
+    if plan.parallel.pp > 1 {
+        let m = plan.micro_batches as f64;
+        let t_stage = flops * (b / (d * m)) / (t * p) / params.gpu_flops;
+        t_stage * (m + p - 1.0)
+    } else {
+        let a = plan.ga_steps as f64;
+        flops * (b / (d * a)) / t / params.gpu_flops
+    }
+}
+
+/// The original `PerfParams::iter_time` (Eq. 1): derives the topology,
+/// the volumes and `T_fwd` from scratch on every call.
+pub fn iter_time_naive(
+    params: &PerfParams,
+    spec: &ModelSpec,
+    plan: &ExecutionPlan,
+    global_batch: u32,
+    placement: &Placement,
+    env: &ClusterEnv,
+) -> f64 {
+    let topo = CommTopology::derive(&plan.parallel, placement, env);
+    let vol = volumes(spec, plan, global_batch);
+    let gb = 1.0e9;
+    let t_comm_dp = vol.dp_bytes / (topo.b_dp * gb);
+    let t_comm_tp = vol.tp_bytes / (topo.b_tp * gb);
+    let t_comm_pp = vol.pp_bytes / (topo.b_pp * gb);
+
+    let t_fwd = t_fwd_naive(params, spec, plan, global_batch);
+    let t_bwd = params.k_bwd * t_fwd + if plan.gc { t_fwd } else { 0.0 };
+
+    let d = plan.parallel.dp as f64;
+    let offload = plan.memory == MemoryMode::ZeroOffload;
+
+    let t_cc = if offload {
+        let a = plan.ga_steps as f64;
+        a * t_fwd + a * t_bwd + t_comm_tp + t_comm_pp
+    } else if plan.ga_steps > 1 {
+        let a = plan.ga_steps as f64;
+        a * t_fwd
+            + (a - 1.0) * t_bwd
+            + f_overlap(params.k_sync, t_bwd, t_comm_dp)
+            + t_comm_tp
+            + t_comm_pp
+    } else {
+        t_fwd + f_overlap(params.k_sync, t_bwd, t_comm_dp) + t_comm_tp + t_comm_pp
+    };
+
+    let t_oo = if offload {
+        let c = placement.cpus.max(1) as f64;
+        let t_opt = params.k_opt_off * spec.params_b() / (d * c);
+        let t_off = vol.pcie_bytes / (env.b_pcie * gb);
+        f_overlap(params.k_off, t_comm_dp, t_off) + f_overlap(params.k_swap, t_opt, t_off)
+    } else {
+        let x = match plan.memory {
+            MemoryMode::Zero2 | MemoryMode::Zero3 => d,
+            _ => (plan.parallel.tp * plan.parallel.pp) as f64,
+        };
+        params.k_opt * spec.params_b() / x
+    };
+
+    t_cc + t_oo + params.k_const
+}
 
 /// Candidate TP degrees: powers of two up to a node's width (the original
 /// allocating helper).
