@@ -10,7 +10,7 @@
 use criterion::Criterion;
 use rubick_core::{ModelRegistry, SynergyScheduler};
 use rubick_model::ModelSpec;
-use rubick_obs::{CountersSink, EventSink, JsonlSink, NullSink, SimEvent, VecSink};
+use rubick_obs::{BufferedJsonlSink, CountersSink, EventSink, NullSink, SimEvent, VecSink};
 use rubick_sim::{Cluster, Engine, EngineConfig, JobSpec, ReportSink};
 use rubick_testbed::TestbedOracle;
 use rubick_trace::{generate_base, TraceConfig};
@@ -51,8 +51,9 @@ fn bench_events(c: &mut Criterion, oracle: &TestbedOracle, trace: &[JobSpec]) {
     group.bench_function("run_jsonl_devnull", |b| {
         b.iter(|| {
             let mut engine = engine_for(oracle, &registry);
-            let mut sink = JsonlSink::new(std::io::sink());
+            let mut sink = BufferedJsonlSink::new(std::io::sink());
             engine.run_with_sink(trace.to_vec(), &mut sink);
+            sink.flush().expect("writing to io::sink cannot fail");
             black_box(sink.events_written())
         })
     });

@@ -14,12 +14,45 @@
 //! cargo run --release -p rubick-bench --bin exp_ablations
 //! ```
 
-use rubick_bench::{build_registry, hours, run_cluster_experiment, std_oracle};
-use rubick_core::{RubickConfig, RubickScheduler, SynergyScheduler};
+use rubick_bench::std_oracle;
+use rubick_core::{ModelRegistry, RubickConfig, RubickScheduler, SynergyScheduler};
 use rubick_model::{enumerate_plans, ModelSpec, PerfParams, Placement};
+use rubick_sim::{Cluster, Engine, EngineConfig, JobSpec, Scheduler, SimReport};
 use rubick_testbed::{profile_and_fit, TestbedOracle};
 use rubick_trace::{generate_base, TraceConfig};
 use std::sync::Arc;
+
+/// Profiles and fits the full 7-model zoo (phase ① for every model type).
+fn build_registry(oracle: &TestbedOracle) -> Arc<ModelRegistry> {
+    Arc::new(
+        ModelRegistry::from_oracle(oracle, &ModelSpec::zoo())
+            .expect("zoo profiling should succeed"),
+    )
+}
+
+/// Seconds → hours.
+fn hours(secs: f64) -> f64 {
+    secs / 3600.0
+}
+
+/// Runs the base trace through one configuration of a scheduler on the
+/// paper's 64-GPU testbed. The knobs these ablations vary (reconfiguration
+/// threshold, backfill window) are not scenario dimensions, so the
+/// scheduler is built here rather than by name.
+fn run_base_trace(
+    oracle: &TestbedOracle,
+    scheduler: Box<dyn Scheduler>,
+    jobs: Vec<JobSpec>,
+) -> SimReport {
+    let mut engine = Engine::new(
+        oracle,
+        scheduler,
+        Cluster::a800_testbed(),
+        vec![],
+        EngineConfig::default(),
+    );
+    engine.run(jobs)
+}
 
 fn threshold_sweep(oracle: &TestbedOracle) {
     let registry = build_registry(oracle);
@@ -38,7 +71,7 @@ fn threshold_sweep(oracle: &TestbedOracle) {
                 ..RubickConfig::default()
             },
         );
-        let report = run_cluster_experiment(oracle, Box::new(sched), trace.clone(), vec![]);
+        let report = run_base_trace(oracle, Box::new(sched), trace.clone());
         println!(
             "{threshold:>9} | {:>10.2} | {:>10.2} | {:>9} | {:>11.2}%",
             hours(report.avg_jct()),
@@ -118,7 +151,7 @@ fn backfill_sweep(oracle: &TestbedOracle) {
     println!("{}", "-".repeat(36));
     for window in [1usize, 4, 16, 64, 1024] {
         let sched = SynergyScheduler::new(Arc::clone(&registry)).with_backfill_window(window);
-        let report = run_cluster_experiment(oracle, Box::new(sched), trace.clone(), vec![]);
+        let report = run_base_trace(oracle, Box::new(sched), trace.clone());
         println!(
             "{window:>7} | {:>10.2} | {:>12.2}",
             hours(report.avg_jct()),

@@ -4,12 +4,13 @@
 //! ([`rubick_sim::run_scenario_with`]); this module only translates
 //! flags into a [`ScenarioSpec`] and renders the outcome.
 
-use super::{chaos_from, scenario_spec_from, CliBackend, CliError, SCHEDULER_NAMES};
+use super::{chaos_from, scenario_spec_from, CliError};
 use crate::args::Args;
 use crate::output::{
     render_decisions, render_fault_csv, render_fault_report, render_report, render_report_csv,
     Logger,
 };
+use rubick::scenario::{check_scheduler, ZooBackend};
 use rubick_model::NodeShape;
 use rubick_obs::{BufferedJsonlSink, EventSink, FanoutSink, ProgressSink, UtilTimelineSink};
 use rubick_sim::run_scenario_with;
@@ -39,16 +40,10 @@ pub fn execute(args: &Args) -> Result<(), CliError> {
     let spec = scenario_spec_from(args)?;
     // Validate the scheduler name and chaos config up front, before the
     // (slow) zoo profiling.
-    if !SCHEDULER_NAMES.contains(&spec.scheduler.as_str()) {
-        return Err(CliError::from(format!(
-            "unknown scheduler '{}' ({})",
-            spec.scheduler,
-            SCHEDULER_NAMES.join("|")
-        )));
-    }
+    check_scheduler(&spec.scheduler)?;
     let chaos = chaos_from(args, spec.nodes, spec.engine_config().max_time)?;
     log.info("profiling model zoo...");
-    let backend = CliBackend::prepare([spec.seed])?;
+    let backend = ZooBackend::prepare([spec.seed])?;
     log.info(&format!(
         "running {} jobs through {}...",
         spec.jobs, spec.scheduler

@@ -19,33 +19,18 @@
 //! {"type":"report",...}
 //! ```
 
-use super::{build_registry, refit_from, scheduler_by_name, CliError, SCHEDULER_NAMES};
+use super::{refit_from, CliError};
 use crate::args::Args;
 use crate::output::{render_serve_report_line, Logger};
-use rubick_model::NodeShape;
-use rubick_obs::{BufferedJsonlSink, EventSink, SimEvent};
-use rubick_refit::{RefitConfig, RegistryRefitter};
+use rubick::scenario::{check_scheduler, ZooBackend};
+use rubick_obs::{json_escape, BufferedJsonlSink, EventSink, SimEvent};
 use rubick_sim::serve::{recover, ServeMeta, ServeOp, ServeSession};
-use rubick_sim::{Cluster, Engine, EngineConfig};
+use rubick_sim::{build_engine, ScenarioSpec};
 use rubick_testbed::TestbedOracle;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpListener;
-use std::sync::{mpsc, Arc};
+use std::sync::mpsc;
 use std::time::Duration;
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// The per-session event sink: optionally buffers lines for `--echo-events`
 /// (drained after each op) and forwards everything to the `--events` file.
@@ -99,13 +84,7 @@ pub fn execute(args: &Args) -> Result<(), CliError> {
     ])?;
     let log = Logger::from_args(args)?;
     let scheduler = args.str_or("scheduler", "rubick");
-    if !SCHEDULER_NAMES.contains(&scheduler.as_str()) {
-        return Err(format!(
-            "unknown scheduler '{scheduler}' ({})",
-            SCHEDULER_NAMES.join("|")
-        )
-        .into());
-    }
+    check_scheduler(&scheduler)?;
     let seed: u64 = args.parse_or("seed", 2025u64)?;
     let nodes: usize = args.parse_or("nodes", 8usize)?;
     if nodes == 0 {
@@ -145,24 +124,21 @@ pub fn execute(args: &Args) -> Result<(), CliError> {
     };
 
     log.info("profiling model zoo...");
+    let spec = ScenarioSpec {
+        scheduler: scheduler.clone(),
+        seed,
+        nodes,
+        refit,
+        ..ScenarioSpec::default()
+    };
+    let backend = ZooBackend::prepare([seed])?;
     let oracle = TestbedOracle::new(seed);
-    let registry = build_registry(&oracle)?;
-    let policy = scheduler_by_name(&scheduler, &registry)?;
-    let mut engine = Engine::new(
-        &oracle,
-        policy,
-        Cluster::new(nodes, NodeShape::a800()),
-        vec![],
-        EngineConfig::default(),
-    );
+    // With --refit the session's scheduler and refitter share one
+    // registry, so a material refit re-plans on the next round. Recovery
+    // replays with the same flags, rebuilding identical refit state
+    // deterministically.
+    let engine = build_engine(&spec, &backend, &oracle, vec![])?;
     if let Some(threshold) = refit {
-        // The session's scheduler and the refitter share `registry`, so a
-        // material refit re-plans on the next round. Recovery replays with
-        // the same flags, rebuilding identical refit state deterministically.
-        engine.set_refit_hook(Box::new(RegistryRefitter::new(
-            Arc::clone(&registry),
-            RefitConfig::with_threshold(threshold),
-        )));
         log.info(&format!(
             "online refitting enabled (material-change threshold {threshold})"
         ));

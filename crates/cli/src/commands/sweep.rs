@@ -5,11 +5,15 @@
 //! an ordered list of [`rubick_sim::ScenarioSpec`] cells; the harness
 //! executor fans them out across worker threads and the output is
 //! byte-identical at any `--parallelism` setting. The paper tables ship
-//! as specs under `examples/sweeps/`.
+//! as specs under `examples/sweeps/`; after the run, the paper view (one
+//! table per group of cells that differ only in scheduler, JCT ratios
+//! against the group's `rubick` row) goes to stderr at the default log
+//! level.
 
-use super::{CliBackend, CliError, SCHEDULER_NAMES};
+use super::CliError;
 use crate::args::Args;
-use crate::output::Logger;
+use crate::output::{render_paper_view, Logger};
+use rubick::scenario::{check_scheduler, ZooBackend};
 use rubick_sim::harness::baseline::{diff_outcomes, parse_baseline};
 use rubick_sim::harness::grid::SweepSpec;
 use rubick_sim::harness::sweep::{render_csv, render_jsonl, resolve_workers, run_cells_with};
@@ -71,14 +75,8 @@ pub fn execute(args: &Args) -> Result<(), CliError> {
     // Scheduler names resolve per cell inside worker threads; checking
     // them up front turns a mid-sweep failure into an instant one.
     for cell in &cells {
-        if !SCHEDULER_NAMES.contains(&cell.scheduler.as_str()) {
-            return Err(format!(
-                "invalid sweep spec '{spec_path}': unknown scheduler '{}' ({})",
-                cell.scheduler,
-                SCHEDULER_NAMES.join("|")
-            )
-            .into());
-        }
+        check_scheduler(&cell.scheduler)
+            .map_err(|e| format!("invalid sweep spec '{spec_path}': {e}"))?;
     }
 
     let threads = args.parallelism()?;
@@ -91,7 +89,7 @@ pub fn execute(args: &Args) -> Result<(), CliError> {
         workers,
         seeds.len()
     ));
-    let backend = CliBackend::prepare(seeds)?;
+    let backend = ZooBackend::prepare(seeds)?;
     // Timed by default: interactive sweeps want to see cell cost. The
     // timing columns are the only machine-dependent output bytes, so
     // anything comparing sweep output across runs (the sweep-smoke gate,
@@ -113,6 +111,7 @@ pub fn execute(args: &Args) -> Result<(), CliError> {
             .map_err(|e| format!("cannot write sweep JSONL '{path}': {e}"))?;
         log.info(&format!("wrote {} cells to {path}", outcomes.len()));
     }
+    log.info(&render_paper_view(&outcomes));
 
     // The regression gate runs last, after outputs are safely written —
     // a failing diff must not suppress the fresh results it points at.

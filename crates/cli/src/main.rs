@@ -20,8 +20,9 @@ use args::Args;
 use std::process::ExitCode;
 
 /// Top-level usage text.
-fn usage() -> &'static str {
-    "rubick — reconfigurable DL cluster scheduling (paper reproduction)
+fn usage() -> String {
+    format!(
+        "rubick — reconfigurable DL cluster scheduling (paper reproduction)
 
 USAGE:
     rubick <COMMAND> [FLAGS]
@@ -44,7 +45,7 @@ COMMON FLAGS:
     --csv                Machine-readable output where supported
 
 RUN / COMPARE FLAGS:
-    --scheduler <name>   rubick|rubick-e|rubick-r|rubick-n|sia|synergy|antman|equal
+    --scheduler <name>   {schedulers}
     --trace <name>       base|bp|mt (default base)
     --jobs <usize>       Jobs at load 1.0 (default 406)
     --load <f64>         Load factor (default 1.0)
@@ -124,7 +125,9 @@ PROFILE FLAGS:
 
 TRACE FLAGS:
     --jobs/--load/--seed as above
-"
+",
+        schedulers = rubick::scenario::SCHEDULER_NAMES.join("|")
+    )
 }
 
 fn main() -> ExitCode {

@@ -10,7 +10,7 @@ use crate::args::Args;
 use crate::commands::CliError;
 use rubick_obs::FaultMetricsSink;
 use rubick_sim::metrics::Decision;
-use rubick_sim::{JobClass, SimReport};
+use rubick_sim::{JobClass, ScenarioOutcome, ScenarioSpec, SimReport};
 use std::fmt::Write as _;
 
 /// How chatty the progress logging on stderr is. Report output on stdout
@@ -294,6 +294,39 @@ pub fn compare_row(name: &str, report: &SimReport, rubick_avg: Option<f64>, csv:
             report.unfinished.len()
         )
     }
+}
+
+/// The sweep's paper view: one `compare` table per group of cells that
+/// differ only in `scheduler` (groups and rows in grid order), each JCT
+/// shown with its ratio against the group's `rubick` row when it has one.
+pub fn render_paper_view(outcomes: &[ScenarioOutcome]) -> String {
+    let mut groups: Vec<(ScenarioSpec, Vec<&ScenarioOutcome>)> = Vec::new();
+    for outcome in outcomes {
+        let key = ScenarioSpec {
+            scheduler: "*".to_string(),
+            ..outcome.spec.clone()
+        };
+        match groups.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, members)) => members.push(outcome),
+            None => groups.push((key, vec![outcome])),
+        }
+    }
+    let tables: Vec<String> = groups
+        .iter()
+        .map(|(key, members)| {
+            let rubick_avg = members
+                .iter()
+                .find(|o| o.spec.scheduler == "rubick")
+                .map(|o| o.report.avg_jct());
+            let mut s = format!("{}\n{}", key.label(), compare_header(false));
+            for o in members {
+                let row = compare_row(&o.spec.scheduler, &o.report, rubick_avg, false);
+                let _ = write!(s, "\n{row}");
+            }
+            s
+        })
+        .collect();
+    tables.join("\n\n")
 }
 
 #[cfg(test)]

@@ -357,6 +357,50 @@ fn sweep_emits_one_csv_row_per_cell_in_grid_order() {
     std::fs::remove_file(&spec).ok();
 }
 
+/// The paper view on stderr: everything from the first group title on
+/// (the progress line before it names the worker count).
+fn paper_view(out: &Output) -> String {
+    let err = stderr(out);
+    let start = err.find("base/*").unwrap_or(err.len());
+    err[start..].to_string()
+}
+
+#[test]
+fn sweep_logs_one_paper_table_per_scheduler_group() {
+    let spec = sweep_spec("paper", TINY_SWEEP);
+    let path = spec.to_str().unwrap();
+    let seq = rubick(&["sweep", path, "--no-timings"]);
+    let par = rubick(&["sweep", path, "--no-timings", "--parallelism", "3"]);
+    let quiet = rubick(&["sweep", path, "--no-timings", "--log-level", "error"]);
+    assert!(seq.status.success() && par.status.success() && quiet.status.success());
+
+    // TINY_SWEEP has two chaos_rate groups of {rubick, synergy}.
+    let view = paper_view(&seq);
+    let titles: Vec<&str> = view.lines().filter(|l| l.starts_with("base/*")).collect();
+    assert_eq!(titles.len(), 2, "{view}");
+    assert!(!titles[0].contains("chaos_rate") && titles[1].contains("chaos_rate=0.3 "));
+    let headers = view.lines().filter(|l| l.starts_with("scheduler ")).count();
+    assert_eq!(headers, 2, "{view}");
+    let rubick_rows: Vec<&str> = view.lines().filter(|l| l.starts_with("rubick ")).collect();
+    assert_eq!(rubick_rows.len(), 2, "{view}");
+    assert!(rubick_rows.iter().all(|r| r.contains("(1.00x)")), "{view}");
+    assert_eq!(
+        view.lines().filter(|l| l.starts_with("synergy ")).count(),
+        2
+    );
+    assert_eq!(
+        view,
+        paper_view(&par),
+        "the paper view ignores --parallelism"
+    );
+
+    // The view lives on stderr only: stdout is the same CSV either way,
+    // and --log-level error silences it.
+    assert_eq!(stdout(&seq), stdout(&quiet));
+    assert!(!stderr(&quiet).contains("avg JCT(h)"), "{}", stderr(&quiet));
+    std::fs::remove_file(&spec).ok();
+}
+
 #[test]
 fn sweep_output_is_byte_identical_at_any_parallelism() {
     // --no-timings: the wall-clock columns are the one part of a row

@@ -711,9 +711,8 @@ impl SimEvent {
 /// solely in this header line.
 pub const SCHEMA_VERSION: u32 = 5;
 
-/// The one-line schema header the stream sinks ([`JsonlSink`],
-/// [`BufferedJsonlSink`]) write before the first event (no trailing
-/// newline).
+/// The one-line schema header [`BufferedJsonlSink`] writes before the
+/// first event (no trailing newline).
 pub fn schema_header_line() -> String {
     let mut w = JsonWriter::new("schema");
     w.uint("version", u64::from(SCHEMA_VERSION));
@@ -732,7 +731,7 @@ pub enum JsonlLine {
 
 /// Parses one line of a sink-produced stream, accepting both the schema
 /// header and event lines. Use this (rather than [`SimEvent::from_jsonl`])
-/// when reading files written by [`JsonlSink`] or [`BufferedJsonlSink`].
+/// when reading files written by [`BufferedJsonlSink`].
 ///
 /// Like [`SimEvent::from_jsonl`], unknown *fields* are tolerated — lookups
 /// go by key, so a newer writer adding fields still parses — while unknown
@@ -1060,6 +1059,22 @@ impl JsonWriter {
 
 fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
+    push_json_escaped(out, s);
+    out.push('"');
+}
+
+/// Escapes `s` for use between the quotes of a JSON string: `"`, `\\`
+/// and the control characters, with `\n`, `\r` and `\t` in short form.
+/// Every hand-written JSON line in the workspace (sweep rows, serve-log
+/// headers, serve error replies) escapes its strings through this, so
+/// [`JsonObject::parse`] reads back what was written.
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    push_json_escaped(&mut out, s);
+    out
+}
+
+fn push_json_escaped(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -1074,7 +1089,6 @@ fn push_json_str(out: &mut String, s: &str) {
             c => out.push(c),
         }
     }
-    out.push('"');
 }
 
 /// `{}` on `f64` is Rust's shortest string that round-trips to the same
@@ -1348,90 +1362,24 @@ impl EventSink for VecSink {
     }
 }
 
-/// A sink that streams events as JSON Lines to any writer.
-///
-/// The first event is preceded by the one-line schema header
-/// (see [`SCHEMA_VERSION`]); parse sink output with [`parse_jsonl_line`].
-/// I/O errors are sticky: the first error is remembered and reported by
-/// [`EventSink::flush`] (writes after an error become no-ops), so a broken
-/// pipe halfway through a run cannot pass silently.
-pub struct JsonlSink<W: Write> {
-    writer: BufWriter<W>,
-    written: u64,
-    header_pending: bool,
-    error: Option<io::Error>,
-}
-
-impl JsonlSink<File> {
-    /// Creates (truncating) the file at `path` and streams events into it.
-    pub fn create(path: impl AsRef<Path>) -> io::Result<JsonlSink<File>> {
-        Ok(JsonlSink::new(File::create(path)?))
-    }
-}
-
-impl<W: Write> JsonlSink<W> {
-    /// Wraps an arbitrary writer (buffered internally).
-    pub fn new(writer: W) -> JsonlSink<W> {
-        JsonlSink {
-            writer: BufWriter::new(writer),
-            written: 0,
-            header_pending: true,
-            error: None,
-        }
-    }
-
-    /// Number of event lines successfully handed to the writer (the schema
-    /// header is not counted).
-    pub fn events_written(&self) -> u64 {
-        self.written
-    }
-}
-
-impl<W: Write> EventSink for JsonlSink<W> {
-    fn on_event(&mut self, event: &SimEvent) {
-        if self.error.is_some() {
-            return;
-        }
-        if self.header_pending {
-            let mut header = schema_header_line();
-            header.push('\n');
-            if let Err(e) = self.writer.write_all(header.as_bytes()) {
-                self.error = Some(e);
-                return;
-            }
-            self.header_pending = false;
-        }
-        let mut line = event.to_jsonl();
-        line.push('\n');
-        match self.writer.write_all(line.as_bytes()) {
-            Ok(()) => self.written += 1,
-            Err(e) => self.error = Some(e),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        if let Some(e) = self.error.take() {
-            return Err(e);
-        }
-        self.writer.flush()
-    }
-}
-
 enum WriterMsg {
     Chunk(String),
     Flush(mpsc::SyncSender<io::Result<()>>),
 }
 
-/// A [`JsonlSink`] variant that moves serialization output to a background
-/// writer thread, so a slow disk never sits on the engine loop.
+/// A sink that streams events as JSON Lines to any writer, serializing on
+/// the caller's thread and writing on a background one, so a slow disk
+/// never sits on the engine loop.
 ///
-/// Events are appended to an in-memory chunk; full chunks are handed to
-/// the writer thread over a channel and the drained `String`s are recycled
-/// back (double-buffering — steady state allocates nothing). The byte
-/// stream is identical to [`JsonlSink`]'s, including the schema header
-/// line. [`EventSink::flush`] round-trips to the writer thread and reports
-/// the first I/O error, sticky, like [`JsonlSink`]; dropping the sink
-/// flushes whatever remains best-effort.
+/// The first event is preceded by the one-line schema header (see
+/// [`SCHEMA_VERSION`]); every event is then one [`SimEvent::to_jsonl`]
+/// line. Parse the output with [`parse_jsonl_line`]. Events are appended
+/// to an in-memory chunk; full chunks are handed to the writer thread over
+/// a channel and the drained `String`s are recycled back (double-buffering
+/// — steady state allocates nothing). I/O errors are sticky:
+/// [`EventSink::flush`] round-trips to the writer thread and reports the
+/// first one, so a broken pipe halfway through a run cannot pass
+/// silently. Dropping the sink flushes whatever remains best-effort.
 pub struct BufferedJsonlSink {
     buf: String,
     tx: Option<mpsc::Sender<WriterMsg>>,
@@ -2119,7 +2067,7 @@ impl EventSink for FanoutSink<'_> {
 /// capacity, so draining nodes show up as lost utilization; `up_gpus`
 /// (capacity net of down nodes) and `nodes_down` let a consumer separate
 /// fault-induced dips from scheduler idleness. I/O errors are sticky and
-/// reported by [`EventSink::flush`], like [`JsonlSink`].
+/// reported by [`EventSink::flush`], like [`BufferedJsonlSink`].
 pub struct UtilTimelineSink<W: Write> {
     out: BufWriter<W>,
     total_gpus: u64,
@@ -2363,16 +2311,37 @@ mod tests {
         );
     }
 
+    /// A writer handing its bytes back through a shared buffer, so tests
+    /// can inspect what [`BufferedJsonlSink`]'s background thread wrote.
+    #[derive(Clone, Default)]
+    struct Shared(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
+
+    impl Write for Shared {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Shared {
+        fn bytes(&self) -> Vec<u8> {
+            self.0.lock().unwrap().clone()
+        }
+    }
+
     #[test]
     fn jsonl_sink_writes_header_then_parseable_lines() {
-        let mut sink = JsonlSink::new(Vec::new());
+        let shared = Shared::default();
+        let mut sink = BufferedJsonlSink::new(shared.clone());
         for ev in sample_events() {
             sink.on_event(&ev);
         }
         sink.flush().unwrap();
         assert_eq!(sink.events_written(), sample_events().len() as u64);
-        let bytes = sink.writer.into_inner().unwrap();
-        let text = String::from_utf8(bytes).unwrap();
+        let text = String::from_utf8(shared.bytes()).unwrap();
         let mut lines = text.lines();
         assert_eq!(
             parse_jsonl_line(lines.next().unwrap()).unwrap(),
@@ -2389,9 +2358,20 @@ mod tests {
 
     #[test]
     fn empty_jsonl_sink_writes_nothing() {
-        let mut sink = JsonlSink::new(Vec::new());
+        let shared = Shared::default();
+        let mut sink = BufferedJsonlSink::new(shared.clone());
         sink.flush().unwrap();
-        assert!(sink.writer.into_inner().unwrap().is_empty());
+        drop(sink);
+        assert!(shared.bytes().is_empty());
+    }
+
+    #[test]
+    fn json_escape_round_trips_through_the_parser() {
+        let raw = "\" \\ \n \r \t \u{1}";
+        let escaped = json_escape(raw);
+        assert_eq!(escaped, "\\\" \\\\ \\n \\r \\t \\u0001");
+        let line = format!("{{\"type\":\"x\",\"s\":\"{escaped}\"}}");
+        assert_eq!(JsonObject::parse(&line).unwrap().str("s").unwrap(), raw);
     }
 
     #[test]
@@ -2438,65 +2418,41 @@ mod tests {
 
     #[test]
     fn buffered_sink_bytes_match_jsonl_sink() {
-        use std::sync::{Arc, Mutex};
-
-        /// A writer handing its bytes back through a shared buffer, so the
-        /// test can inspect what the background thread wrote.
-        #[derive(Clone)]
-        struct Shared(Arc<Mutex<Vec<u8>>>);
-        impl Write for Shared {
-            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> io::Result<()> {
-                Ok(())
-            }
-        }
-
-        let mut reference = JsonlSink::new(Vec::new());
-        let shared = Shared(Arc::new(Mutex::new(Vec::new())));
+        let shared = Shared::default();
         let mut buffered = BufferedJsonlSink::new(shared.clone());
+        let mut expected = schema_header_line();
+        expected.push('\n');
         // Enough events to force several chunk handoffs.
         for _ in 0..2000 {
             for ev in sample_events() {
-                reference.on_event(&ev);
                 buffered.on_event(&ev);
+                expected.push_str(&ev.to_jsonl());
+                expected.push('\n');
             }
         }
-        reference.flush().unwrap();
         buffered.flush().unwrap();
         assert_eq!(
             buffered.events_written(),
             2000 * sample_events().len() as u64
         );
-        let expected = reference.writer.into_inner().unwrap();
-        let actual = shared.0.lock().unwrap().clone();
-        assert_eq!(actual, expected, "buffered sink must write identical bytes");
+        let actual = shared.bytes();
+        assert_eq!(
+            actual,
+            expected.into_bytes(),
+            "buffered sink must write the header plus one line per event"
+        );
         drop(buffered);
     }
 
     #[test]
     fn buffered_sink_flushes_on_drop() {
-        use std::sync::{Arc, Mutex};
-        #[derive(Clone)]
-        struct Shared(Arc<Mutex<Vec<u8>>>);
-        impl Write for Shared {
-            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> io::Result<()> {
-                Ok(())
-            }
-        }
-        let shared = Shared(Arc::new(Mutex::new(Vec::new())));
+        let shared = Shared::default();
         {
             let mut sink = BufferedJsonlSink::new(shared.clone());
             sink.on_event(&SimEvent::TickSkipped { at: 1.0, round: 1 });
             // No flush: drop must deliver the buffered lines.
         }
-        let text = String::from_utf8(shared.0.lock().unwrap().clone()).unwrap();
+        let text = String::from_utf8(shared.bytes()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2, "header + one event, got: {text:?}");
         assert_eq!(

@@ -1,10 +1,10 @@
 //! The **scenario harness**: one shared path from "a description of an
 //! experiment" to "an engine that ran it".
 //!
-//! Before this module existed, the CLI's `run` and `compare` subcommands,
-//! every `exp_*` regenerator and every integration test wired the same
-//! five pieces together by hand: oracle, cluster, engine config, fault
-//! plan, scheduler. The harness makes that wiring declarative:
+//! Every engine the CLI (`run`, `compare`, `sweep`, `serve`) and the
+//! sweep test tier build goes through here, so the five pieces of the
+//! wiring — oracle, cluster, engine config, fault plan, scheduler — are
+//! assembled in one place:
 //!
 //! * [`ScenarioSpec`] — a pure-data description of one experiment cell
 //!   (trace kind, job count, load factor, large-model fraction, seed,
@@ -13,8 +13,11 @@
 //!   provide itself without a dependency cycle: policies live in
 //!   `rubick-core` and traces in `rubick-trace`, both of which *depend on*
 //!   this crate, so callers inject them.
-//! * [`run_scenario`] / [`run_scenario_with`] — build the engine the one
-//!   canonical way and run it, returning a [`ScenarioOutcome`].
+//! * [`build_engine`] — the spec's scheduler, refit hook, cluster and
+//!   engine config as one [`Engine`].
+//! * [`run_scenario`] / [`run_scenario_with`] — build the engine that way,
+//!   add the workload and chaos, and run it, returning a
+//!   [`ScenarioOutcome`].
 //!
 //! The [`grid`] submodule parses declarative sweep specs (a parameter
 //! grid in a small TOML subset) into ordered lists of scenarios, and
@@ -264,43 +267,21 @@ pub type SchedulerWithRefit = (Box<dyn Scheduler>, Option<Box<dyn RefitHook>>);
 
 /// The two constructors the harness cannot own: policies (`rubick-core`)
 /// and workload traces (`rubick-trace`) live in crates that depend on
-/// `rubick-sim`, so every caller injects them through this trait.
+/// `rubick-sim`, so every caller injects them through this trait. The
+/// workspace's one implementation is `rubick::scenario::ZooBackend`.
 ///
 /// Implementations must be [`Sync`]: the sweep executor calls them from
 /// worker threads. Per-cell state (e.g. a freshly `clone_fitted()` model
 /// registry) belongs in the returned scheduler, not the backend.
 pub trait ScenarioBackend: Sync {
     /// Builds the scheduler named by `spec.scheduler`, fitted for
-    /// `spec.seed`'s oracle.
+    /// `spec.seed`'s oracle, and, when `spec.refit` is set, the online
+    /// refit hook that shares its model registry.
     ///
     /// # Errors
     ///
     /// A message naming the unknown scheduler (and the valid names).
-    fn scheduler(&self, spec: &ScenarioSpec) -> Result<Box<dyn Scheduler>, String>;
-
-    /// Builds the scheduler *and*, when `spec.refit` is set, the online
-    /// refit hook that shares its model registry — only the backend can
-    /// wire the two to the same registry, since both live behind this
-    /// trait's construction boundary.
-    ///
-    /// The default implementation supports frozen-model runs only: it
-    /// delegates to [`ScenarioBackend::scheduler`] and rejects specs with
-    /// `refit` set, so a backend that never overrides this cannot
-    /// silently ignore a requested refit.
-    ///
-    /// # Errors
-    ///
-    /// Backend construction errors, or `spec.refit` being set on a
-    /// backend without refit support.
-    fn scheduler_with_refit(&self, spec: &ScenarioSpec) -> Result<SchedulerWithRefit, String> {
-        if spec.refit.is_some() {
-            return Err(format!(
-                "backend for scheduler '{}' does not support online refitting",
-                spec.scheduler
-            ));
-        }
-        Ok((self.scheduler(spec)?, None))
-    }
+    fn scheduler(&self, spec: &ScenarioSpec) -> Result<SchedulerWithRefit, String>;
 
     /// Generates the workload (jobs and tenants) for the spec.
     ///
@@ -312,6 +293,34 @@ pub trait ScenarioBackend: Sync {
         spec: &ScenarioSpec,
         oracle: &TestbedOracle,
     ) -> Result<(Vec<JobSpec>, Vec<Tenant>), String>;
+}
+
+/// Builds the engine a spec describes: the backend's scheduler (and refit
+/// hook) on the spec's cluster and engine config, serving `tenants`. Chaos
+/// and the workload are the caller's; [`run_scenario_with`] adds both,
+/// and a `rubick serve` session submits its jobs one by one.
+///
+/// # Errors
+///
+/// Backend construction errors.
+pub fn build_engine<'o>(
+    spec: &ScenarioSpec,
+    backend: &dyn ScenarioBackend,
+    oracle: &'o TestbedOracle,
+    tenants: Vec<Tenant>,
+) -> Result<Engine<'o>, String> {
+    let (scheduler, refit_hook) = backend.scheduler(spec)?;
+    let mut engine = Engine::new(
+        oracle,
+        scheduler,
+        spec.cluster(),
+        tenants,
+        spec.engine_config(),
+    );
+    if let Some(hook) = refit_hook {
+        engine.set_refit_hook(hook);
+    }
+    Ok(engine)
 }
 
 /// Wall-clock cost of one sweep cell, captured only when the executor
@@ -379,17 +388,7 @@ pub fn run_scenario_with(
         None => spec.fault_plan()?,
     };
     let (jobs, tenants) = backend.workload(spec, &oracle)?;
-    let (scheduler, refit_hook) = backend.scheduler_with_refit(spec)?;
-    let mut engine = Engine::new(
-        &oracle,
-        scheduler,
-        spec.cluster(),
-        tenants,
-        spec.engine_config(),
-    );
-    if let Some(hook) = refit_hook {
-        engine.set_refit_hook(hook);
-    }
+    let mut engine = build_engine(spec, backend, &oracle, tenants)?;
     let mut faults = chaos.as_ref().map(|_| FaultMetricsSink::new());
     if let Some(plan) = chaos {
         engine = engine.with_chaos(plan);
@@ -531,31 +530,5 @@ mod tests {
         ] {
             assert!(label.contains(needle), "label '{label}' missing {needle}");
         }
-    }
-
-    #[test]
-    fn default_backend_rejects_refit_specs() {
-        struct Frozen;
-        impl ScenarioBackend for Frozen {
-            fn scheduler(&self, _spec: &ScenarioSpec) -> Result<Box<dyn Scheduler>, String> {
-                Err("unused".to_string())
-            }
-            fn workload(
-                &self,
-                _spec: &ScenarioSpec,
-                _oracle: &TestbedOracle,
-            ) -> Result<(Vec<JobSpec>, Vec<Tenant>), String> {
-                Err("unused".to_string())
-            }
-        }
-        let spec = ScenarioSpec {
-            refit: Some(0.2),
-            ..ScenarioSpec::default()
-        };
-        let err = match Frozen.scheduler_with_refit(&spec) {
-            Ok(_) => panic!("refit spec should be rejected"),
-            Err(e) => e,
-        };
-        assert!(err.contains("refitting"), "{err}");
     }
 }

@@ -6,8 +6,8 @@
 //! shared cursor. Results are stored by cell index and rendered in grid
 //! order, which makes the output **byte-identical at any worker count**:
 //! parallelism only changes wall-clock time, never a single output byte.
-//! The `sweep_golden`/`sweep_equivalence` suites in `rubick-core` pin
-//! this property.
+//! The `sweep_golden`/`sweep_equivalence` suites in the root package's
+//! `tests/` pin this property.
 //!
 //! Timed runs ([`run_cells_with`] with `timings = true`) additionally
 //! stamp each cell with its wall-clock cost; those two columns are the
@@ -15,7 +15,7 @@
 //! goldens always run untimed (the CLI's `--no-timings`).
 
 use super::{run_scenario, CellTiming, ScenarioBackend, ScenarioOutcome, ScenarioSpec};
-use std::fmt::Write as _;
+use rubick_obs::json_escape;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -284,22 +284,6 @@ pub fn render_csv(outcomes: &[ScenarioOutcome]) -> String {
         s.push('\n');
     }
     s
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// The JSONL stream header line carrying the sweep name and cell count.

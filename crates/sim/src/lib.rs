@@ -49,8 +49,8 @@ pub use cluster::{Allocation, Cluster, Node};
 pub use engine::{Engine, EngineConfig, StepOutcome};
 pub use harness::baseline::{diff_outcomes, parse_baseline, Baseline, BaselineDiff};
 pub use harness::{
-    run_scenario, run_scenario_with, CellTiming, ChaosKnobs, ScenarioBackend, ScenarioOutcome,
-    ScenarioSpec, SchedulerWithRefit, TraceKind,
+    build_engine, run_scenario, run_scenario_with, CellTiming, ChaosKnobs, ScenarioBackend,
+    ScenarioOutcome, ScenarioSpec, SchedulerWithRefit, TraceKind,
 };
 pub use job::{JobClass, JobId, JobSpec, JobStatus};
 pub use metrics::{JobRecord, SimReport};

@@ -42,7 +42,7 @@ use crate::metrics::SimReport;
 use crate::tenant::TenantId;
 use rubick_model::{ExecutionPlan, ModelSpec, NodeShape, Resources};
 use rubick_obs::{
-    read_event_log_tolerant, EventSink, JsonObject, LogLine, SimEvent, SCHEMA_VERSION,
+    json_escape, read_event_log_tolerant, EventSink, JsonObject, LogLine, SimEvent, SCHEMA_VERSION,
 };
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, Write};
@@ -51,22 +51,6 @@ use std::path::{Path, PathBuf};
 /// Version of the serve-log line format (the header/op/marker lines; the
 /// event lines carry their own [`SCHEMA_VERSION`]).
 pub const SERVE_LOG_VERSION: u32 = 1;
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// The immutable session parameters recorded in the log's header line —
 /// enough for `recover` to refuse a log written under different

@@ -13,6 +13,7 @@
 //! | [`sim`] | Discrete-event cluster simulator: nodes, jobs, tenants, metrics |
 //! | [`core`] | The Rubick policy (Algorithm 1), ablations (Rubick-E/R/N), baselines (Sia, Synergy, AntMan, equal-share) |
 //! | [`trace`] | Philly-like synthetic trace generation (Base / BP / MT, load and model-mix sweeps) |
+//! | [`scenario`] | The one scenario backend: scheduler names → policies (+ refit hook), specs → workloads |
 //!
 //! ## Quickstart
 //!
@@ -40,6 +41,8 @@ pub use rubick_obs as obs;
 pub use rubick_sim as sim;
 pub use rubick_testbed as testbed;
 pub use rubick_trace as trace;
+
+pub mod scenario;
 
 /// One-stop import of the most common types across the workspace.
 pub mod prelude {

@@ -2,28 +2,31 @@
 //! execution order are pure performance knobs. For any worker count and
 //! any permutation of the cell list — chaos-enabled cells included —
 //! every cell's rendered row must be byte-identical to the sequential
-//! reference, and outcomes must come back in submission order.
+//! reference, and outcomes must come back in submission order. Cells with
+//! online refitting on obey the same contract.
 
 mod sweep_support;
 
 use proptest::prelude::*;
-use rubick_sim::harness::sweep::{csv_row, run_cells};
+use rubick::scenario::ZooBackend;
+use rubick_sim::harness::grid::SweepSpec;
+use rubick_sim::harness::sweep::{csv_row, render_csv, run_cells};
 use rubick_sim::{ScenarioOutcome, ScenarioSpec};
 use std::sync::OnceLock;
-use sweep_support::{smoke_spec, TestBackend};
+use sweep_support::{backend_for, smoke_spec};
 
 /// The smoke grid's cells, the shared backend, and the sequential
 /// reference outcomes — computed once; every property case compares
 /// against this.
-fn reference() -> &'static (Vec<ScenarioSpec>, TestBackend, Vec<ScenarioOutcome>) {
-    static REF: OnceLock<(Vec<ScenarioSpec>, TestBackend, Vec<ScenarioOutcome>)> = OnceLock::new();
+fn reference() -> &'static (Vec<ScenarioSpec>, ZooBackend, Vec<ScenarioOutcome>) {
+    static REF: OnceLock<(Vec<ScenarioSpec>, ZooBackend, Vec<ScenarioOutcome>)> = OnceLock::new();
     REF.get_or_init(|| {
         let cells = smoke_spec().expand().expect("smoke grid expands");
         assert!(
             cells.iter().any(|c| c.chaos.is_some()),
             "the property must cover chaos-enabled cells"
         );
-        let backend = TestBackend::for_cells(&cells);
+        let backend = backend_for(&cells);
         let outcomes = run_cells(&cells, &backend, None).expect("sequential reference");
         (cells, backend, outcomes)
     })
@@ -78,4 +81,34 @@ proptest! {
             );
         }
     }
+}
+
+/// A refit-dimension grid runs through the same backend as frozen cells,
+/// and its rendered CSV does not depend on the worker count: each cell's
+/// refitter observes on the engine's single apply path, after the
+/// parallel search.
+#[test]
+fn refit_cells_render_identically_at_one_and_three_workers() {
+    let spec = SweepSpec::parse(
+        "[sweep]\n\
+         name = \"refit\"\n\
+         jobs = 20\n\
+         duration_hours = 2.0\n\
+         seed = 7\n\
+         [grid]\n\
+         refit = [0.15]\n\
+         scheduler = [\"rubick\", \"sia\"]\n",
+    )
+    .expect("refit grid parses");
+    let cells = spec.expand().expect("refit grid expands");
+    assert_eq!(cells.len(), 2);
+    assert!(cells.iter().all(|c| c.refit == Some(0.15)));
+    let backend = backend_for(&cells);
+    let sequential = run_cells(&cells, &backend, Some(1)).expect("refit cells run");
+    let threaded = run_cells(&cells, &backend, Some(3)).expect("refit cells run threaded");
+    assert!(
+        sequential.iter().any(|o| o.report.model_refits > 0),
+        "the grid must publish at least one refit"
+    );
+    assert_eq!(render_csv(&sequential), render_csv(&threaded));
 }
