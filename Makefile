@@ -20,13 +20,15 @@
 #                      regression of the fastest sample vs the committed
 #                      BENCH_modeling.json summary
 #   make build         release build of the whole workspace
+#   make loc           non-shim Rust line count (the workspace-size figure
+#                      ROADMAP tracks and each change reports its delta of)
 #
 # `BENCH=1 make verify` additionally runs the bench-check perf gate
 # (opt-in: bench timings are machine-dependent, so the default CI gate
 # stays deterministic).
 
 .PHONY: verify fmt lint test build bench bench-check sweep-smoke serve-smoke refit-smoke \
-	perfbench-test
+	perfbench-test loc
 
 verify: fmt lint test sweep-smoke serve-smoke refit-smoke perfbench-test
 
@@ -51,6 +53,10 @@ test:
 
 build:
 	cargo build --release
+
+# perfbench/ is outside the count: it is the benchmark, not the program.
+loc:
+	@find crates src tests examples -name '*.rs' -not -path '*/shims/*' | xargs cat | wc -l
 
 # End-to-end sweep gate: the smoke spec runs sequentially and with 4
 # workers; any byte difference between the two CSVs (or a nonzero exit)

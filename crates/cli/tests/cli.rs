@@ -733,15 +733,25 @@ fn serve_restart_recovers_the_logged_session() {
     args.extend(["--log", log_str]);
 
     // First session: submit and advance, then the process "dies" (EOF
-    // without shutdown still folds a report; the journal survives).
+    // without shutdown still folds a report; the journal survives). In
+    // between, two ops whose `1e999` overflows to infinity — which no
+    // reply or journal line can carry as JSON — are refused unjournalled.
     let first = rubick_stdin(
         &args,
         "{\"type\":\"submit\",\"job\":1,\"model\":\"roberta-355m\",\"gpus\":4,\
-         \"target_batches\":60}\n{\"type\":\"advance\",\"until\":1}\n",
+         \"target_batches\":60}\n{\"type\":\"advance\",\"until\":1}\n\
+         {\"type\":\"cancel\",\"job\":1,\"at\":1e999}\n\
+         {\"type\":\"advance\",\"until\":1e999}\n{\"type\":\"status\"}\n",
     );
     assert!(first.status.success(), "stderr: {}", stderr(&first));
+    let first = stdout(&first);
+    let first: Vec<&str> = first.lines().collect();
+    for line in &first[2..4] {
+        assert!(line.starts_with("{\"type\":\"error\",") && line.contains("bad number"));
+    }
 
-    // Second session recovers from the journal: job 1 is running again.
+    // Second session recovers from the journal: job 1 is running again,
+    // in the state the first session last reported.
     let second = rubick_stdin(&args, "{\"type\":\"status\"}\n{\"type\":\"shutdown\"}\n");
     assert!(second.status.success(), "stderr: {}", stderr(&second));
     let text = stdout(&second);
@@ -750,10 +760,8 @@ fn serve_restart_recovers_the_logged_session() {
         lines[0].starts_with("{\"type\":\"recovered\",\"ops\":2,"),
         "{text}"
     );
-    assert!(
-        lines[1].contains("\"type\":\"state\"") && lines[1].contains("\"running\":1"),
-        "{text}"
-    );
+    assert!(lines[1].contains("\"running\":1"), "{text}");
+    assert_eq!(lines[1], first[4]);
     std::fs::remove_file(&log).ok();
 }
 

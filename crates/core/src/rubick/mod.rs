@@ -152,13 +152,6 @@ impl RubickScheduler {
     pub fn config(&self) -> &RubickConfig {
         &self.config
     }
-
-    /// Sets the round-parallelism budget (see
-    /// [`RubickConfig::parallelism`]), builder-style.
-    pub fn with_parallelism(mut self, parallelism: Option<usize>) -> Self {
-        self.config.parallelism = parallelism;
-        self
-    }
 }
 
 impl Scheduler for RubickScheduler {

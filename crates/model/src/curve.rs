@@ -153,12 +153,6 @@ impl SensitivityCurve {
         achieving.plan.map(|plan| (plan, achieving.raw_throughput))
     }
 
-    /// Marginal gain of adding one unit at `amount`:
-    /// `value(amount+1) − value(amount)`.
-    pub fn gain_slope(&self, amount: u32) -> f64 {
-        self.value(amount + 1) - self.value(amount)
-    }
-
     /// Marginal loss of removing one unit at `amount`:
     /// `value(amount) − value(amount−1)` (0 at amount 0).
     pub fn loss_slope(&self, amount: u32) -> f64 {
@@ -383,8 +377,8 @@ mod tests {
     fn slopes_are_consistent_with_values() {
         let m = model(ModelSpec::roberta_large());
         let curve = SensitivityCurve::for_gpus(&m, 64, 8);
-        for g in 0..8 {
-            assert!((curve.gain_slope(g) - (curve.value(g + 1) - curve.value(g))).abs() < 1e-12);
+        for g in 1..=8 {
+            assert!((curve.loss_slope(g) - (curve.value(g) - curve.value(g - 1))).abs() < 1e-12);
         }
         assert_eq!(curve.loss_slope(0), 0.0);
     }

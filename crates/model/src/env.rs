@@ -48,14 +48,6 @@ impl ClusterEnv {
             b_pcie: 12.0,
         }
     }
-
-    /// Returns a copy with the inter-node bandwidth scaled by `factor`.
-    ///
-    /// Handy for ablations on communication sensitivity.
-    pub fn with_inter_scaled(mut self, factor: f64) -> Self {
-        self.b_inter *= factor;
-        self
-    }
 }
 
 impl Default for ClusterEnv {
@@ -72,13 +64,6 @@ mod tests {
     fn a800_ordering() {
         let e = ClusterEnv::a800();
         assert!(e.b_intra > e.b_inter && e.b_inter > e.b_pcie);
-    }
-
-    #[test]
-    fn scaling_inter() {
-        let e = ClusterEnv::a800().with_inter_scaled(0.5);
-        assert!((e.b_inter - 50.0).abs() < 1e-9);
-        assert!((e.b_intra - 400.0).abs() < 1e-9);
     }
 
     #[test]

@@ -822,16 +822,6 @@ impl JsonObject {
     pub fn uint_or(&self, default: u64, key: &str) -> Result<u64, EventParseError> {
         self.fields.uint_or(default, key)
     }
-
-    /// A numeric field defaulting when absent (present-but-bad still
-    /// errors).
-    pub fn num_or(&self, default: f64, key: &str) -> Result<f64, EventParseError> {
-        if self.contains(key) {
-            self.fields.num(key)
-        } else {
-            Ok(default)
-        }
-    }
 }
 
 /// One classified line of an event-log file.
@@ -1143,11 +1133,16 @@ impl Fields {
         }
     }
 
+    /// A finite number. An overflowing literal such as `1e999` is
+    /// rejected: it would parse to infinity, which no writer can emit as
+    /// JSON.
     fn num(&self, key: &str) -> Result<f64, EventParseError> {
         match self.get(key)? {
             JsonValue::Num(raw) => raw
                 .parse::<f64>()
-                .map_err(|_| EventParseError::new(format!("field {key:?}: bad number {raw:?}"))),
+                .ok()
+                .filter(|v| v.is_finite())
+                .ok_or_else(|| EventParseError::new(format!("field {key:?}: bad number {raw:?}"))),
             _ => Err(EventParseError::new(format!(
                 "field {key:?} is not a number"
             ))),
@@ -2309,6 +2304,10 @@ mod tests {
         assert!(
             SimEvent::from_jsonl("{\"type\":\"tick_skipped\",\"at\":\"x\",\"round\":2}").is_err()
         );
+        // Overflows to infinity, which no writer could emit back as JSON.
+        assert!(
+            SimEvent::from_jsonl("{\"type\":\"tick_skipped\",\"at\":1e999,\"round\":2}").is_err()
+        );
     }
 
     /// A writer handing its bytes back through a shared buffer, so tests
@@ -2674,7 +2673,6 @@ mod tests {
                 assert!(obj.contains("at"));
                 assert!(!obj.contains("missing"));
                 assert_eq!(obj.uint_or(3, "missing").unwrap(), 3);
-                assert_eq!(obj.num_or(2.5, "missing").unwrap(), 2.5);
                 assert_eq!(obj.opt_str("missing").unwrap(), None);
             }
             other => panic!("expected Other, got {other:?}"),

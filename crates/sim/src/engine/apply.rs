@@ -13,20 +13,20 @@ use rubick_obs::DecisionKind;
 
 impl<'a> Engine<'a> {
     pub(super) fn apply(&mut self, targets: Vec<Assignment>, sink: &mut dyn EventSink) {
+        // The first assignment for a live job wins; `order` keeps the
+        // scheduler's preference order.
         let mut target_map: BTreeMap<JobId, Assignment> = BTreeMap::new();
         let mut order: Vec<JobId> = Vec::new();
         for a in targets {
-            if let Some(rt) = self.jobs.get(&a.job) {
-                if !rt.status.is_finished() && !order.contains(&a.job) {
-                    order.push(a.job);
-                    target_map.insert(a.job, a);
-                }
+            if self.jobs.contains_key(&a.job) && !target_map.contains_key(&a.job) {
+                order.push(a.job);
+                target_map.insert(a.job, a);
             }
         }
 
         // Phase 1: release running jobs that are changed or preempted.
         let ids: Vec<JobId> = self.jobs.keys().copied().collect();
-        let mut to_configure: Vec<JobId> = Vec::new();
+        let mut to_configure: BTreeSet<JobId> = BTreeSet::new();
         for id in ids {
             let rt = self.jobs.get_mut(&id).expect("job exists");
             match (&rt.status, target_map.get(&id)) {
@@ -41,7 +41,7 @@ impl<'a> Engine<'a> {
                 (JobStatus::Running { allocation, .. }, Some(_)) => {
                     let alloc = allocation.clone();
                     self.cluster.release(&alloc);
-                    to_configure.push(id);
+                    to_configure.insert(id);
                 }
                 (
                     JobStatus::Running {
@@ -71,14 +71,15 @@ impl<'a> Engine<'a> {
                         },
                     );
                 }
-                (JobStatus::Queued, Some(_)) => to_configure.push(id),
+                (JobStatus::Queued, Some(_)) => {
+                    to_configure.insert(id);
+                }
                 _ => {}
             }
         }
 
         // Phase 2: apply new configurations in the scheduler's order.
-        to_configure.sort_by_key(|id| order.iter().position(|o| o == id));
-        for id in to_configure {
+        for id in order.into_iter().filter(|id| to_configure.contains(id)) {
             // Every configured job is marked changed, even when the
             // snapshot fields end up identical (e.g. a queued job whose
             // launch fails right back to queued): the scheduler's emitted

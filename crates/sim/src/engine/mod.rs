@@ -1,13 +1,13 @@
 //! The discrete-event simulation engine.
 //!
-//! Drives jobs through submit → (queued ⇄ running) → finished, calling the
-//! policy on every submission and completion (and optionally on a periodic
-//! tick), applying the returned target assignments, and charging
-//! checkpoint-resume penalties for launches and reconfigurations. Actual
-//! throughputs come from the ground-truth [`TestbedOracle`], so a policy
-//! that mispredicts (e.g. assigns an OOM plan) is penalized exactly like it
-//! would be on the real cluster: the launch fails and the job returns to
-//! the queue.
+//! Drives jobs through submit → (queued ⇄ running) → retired (finished or
+//! cancelled), calling the policy on every submission and completion (and
+//! optionally on a periodic tick), applying the returned target
+//! assignments, and charging checkpoint-resume penalties for launches and
+//! reconfigurations. Actual throughputs come from the ground-truth
+//! [`TestbedOracle`], so a policy that mispredicts (e.g. assigns an OOM
+//! plan) is penalized exactly like it would be on the real cluster: the
+//! launch fails and the job returns to the queue.
 //!
 //! Every state transition emits exactly one [`SimEvent`] on the **event
 //! spine** (see `rubick-obs`): the engine folds its own stream into the
@@ -31,7 +31,7 @@ mod runtime;
 
 use crate::cluster::Cluster;
 use crate::job::{JobId, JobSpec, JobStatus};
-use crate::metrics::{JobRecord, SimReport};
+use crate::metrics::SimReport;
 use crate::refit::RefitHook;
 use crate::report::{self, ReportSink};
 use crate::scheduler::{Assignment, JobDelta, JobSnapshot, Scheduler};
@@ -102,7 +102,12 @@ pub struct Engine<'a> {
     cluster: Cluster,
     tenants: Vec<Tenant>,
     config: EngineConfig,
+    /// Live jobs only: submitted and neither finished nor cancelled. A job
+    /// leaves this table when it retires, so every walk over it is
+    /// O(active), not O(ever submitted).
     jobs: BTreeMap<JobId, JobRuntime>,
+    /// Ids of retired (finished or cancelled) jobs; they stay taken.
+    retired: BTreeSet<JobId>,
     queue: EventQueue,
     now: f64,
     tick_pending: bool,
@@ -181,6 +186,7 @@ impl<'a> Engine<'a> {
             tenants,
             config,
             jobs: BTreeMap::new(),
+            retired: BTreeSet::new(),
             queue: EventQueue::new(),
             now: 0.0,
             tick_pending: false,
@@ -265,11 +271,7 @@ impl<'a> Engine<'a> {
     }
 
     fn snapshots(&self) -> Vec<JobSnapshot> {
-        self.jobs
-            .values()
-            .filter(|rt| !rt.status.is_finished())
-            .map(|rt| rt.snapshot())
-            .collect()
+        self.jobs.values().map(|rt| rt.snapshot()).collect()
     }
 
     /// Runs one scheduling round and applies the target assignment.
@@ -391,22 +393,20 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn finalize(&mut self, id: JobId) -> JobRecord {
-        let rt = self.jobs.get_mut(&id).expect("job exists");
+    /// Retires `id` (finished or cancelled): drops its runtime from the
+    /// live table, releases whatever it holds and keeps its id taken.
+    fn retire(&mut self, id: JobId) -> JobRuntime {
+        let rt = self.jobs.remove(&id).expect("job exists");
         if let JobStatus::Running { allocation, .. } = &rt.status {
-            let alloc = allocation.clone();
-            self.cluster.release(&alloc);
+            self.cluster.release(allocation);
         }
-        let rt = self.jobs.get_mut(&id).expect("job exists");
-        rt.status = JobStatus::Finished { at: self.now };
-        rt.record(id, self.now)
+        self.retired.insert(id);
+        self.mark_removed(id);
+        rt
     }
 
     fn active_jobs(&self) -> usize {
-        self.jobs
-            .values()
-            .filter(|rt| !rt.status.is_finished())
-            .count()
+        self.jobs.len()
     }
 
     /// The current simulation time, seconds.
@@ -443,14 +443,14 @@ impl<'a> Engine<'a> {
 
     /// Jobs that left the active set (completed or cancelled).
     pub fn finished_jobs(&self) -> usize {
-        self.jobs.len() - self.active_jobs()
+        self.retired.len()
     }
 
     /// Whether the engine has ever accepted `id` — pending submission,
-    /// active, or already finished. Serve sessions use this to reject
+    /// active, or retired (finished or cancelled). Serve sessions use this to reject
     /// duplicate job ids at the protocol boundary.
     pub fn has_job(&self, id: JobId) -> bool {
-        self.pending.contains_key(&id) || self.jobs.contains_key(&id)
+        self.pending.contains_key(&id) || self.jobs.contains_key(&id) || self.retired.contains(&id)
     }
 
     /// Accepts a job: its `Submit` event enters the queue at
@@ -543,13 +543,16 @@ impl<'a> Engine<'a> {
                     need_round = true;
                 }
                 EventKind::Finish(id, epoch) => {
-                    let rt = self.jobs.get(&id).expect("job exists");
-                    if rt.status.is_finished() || rt.epoch != epoch {
-                        continue; // stale
+                    // A retired job's Finish is stale, as is one armed
+                    // before the job's last (re)configuration.
+                    let Some(rt) = self.jobs.get(&id) else {
+                        continue;
+                    };
+                    if rt.epoch != epoch {
+                        continue;
                     }
                     if rt.remaining <= 1e-6 {
-                        let record = self.finalize(id);
-                        self.mark_removed(id);
+                        let record = self.retire(id).record(id, self.now);
                         self.emit(sink, report::finished_event(&record));
                         need_round = true;
                     } else {
@@ -571,29 +574,21 @@ impl<'a> Engine<'a> {
                         // emitted for this job, so nothing is emitted now.
                         continue;
                     }
-                    let Some(rt) = self.jobs.get_mut(&id) else {
-                        continue; // unknown id: no-op
-                    };
-                    if rt.status.is_finished() {
-                        continue; // raced with completion: no-op
+                    // Unknown or already retired (raced with completion):
+                    // a no-op.
+                    if !self.jobs.contains_key(&id) {
+                        continue;
                     }
-                    let (gpus, plan, alloc) = match &rt.status {
+                    // The fold tells a cancellation apart by its
+                    // JobCancelled event: no JobFinished is emitted, so the
+                    // job appears in neither `jobs` nor `unfinished`.
+                    let rt = self.retire(id);
+                    let (gpus, plan) = match &rt.status {
                         JobStatus::Running {
                             allocation, plan, ..
-                        } => (allocation.gpus(), plan.label(), Some(allocation.clone())),
-                        _ => (0, String::new(), None),
+                        } => (allocation.gpus(), plan.label()),
+                        JobStatus::Queued => (0, String::new()),
                     };
-                    // Reuse the Finished status so stale Finish events,
-                    // snapshots and the active-job count all exclude the
-                    // job; the fold distinguishes a cancellation by the
-                    // JobCancelled event (no JobFinished is emitted, so
-                    // the job appears in neither `jobs` nor `unfinished`).
-                    rt.status = JobStatus::Finished { at: self.now };
-                    rt.epoch += 1;
-                    if let Some(alloc) = alloc {
-                        self.cluster.release(&alloc);
-                    }
-                    self.mark_removed(id);
                     self.emit(
                         sink,
                         SimEvent::JobCancelled {
@@ -717,7 +712,7 @@ impl<'a> Engine<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::cluster::Allocation;
     use crate::job::JobClass;
@@ -882,7 +877,9 @@ mod tests {
         assert_eq!(report.sla_attainment(), 1.0);
     }
 
-    fn engine(oracle: &TestbedOracle) -> Engine<'_> {
+    /// A FIFO-driven engine on two A800 nodes (also the serve tests'
+    /// engine).
+    pub(crate) fn engine(oracle: &TestbedOracle) -> Engine<'_> {
         Engine::new(
             oracle,
             Box::new(Fifo),
@@ -1041,6 +1038,68 @@ mod tests {
         assert!(sink.events[finished_events..]
             .iter()
             .all(|ev| !matches!(ev, SimEvent::JobCancelled { .. })));
+    }
+
+    /// Asks for every job's full request on node 0, highest id first.
+    struct HighestIdFirst;
+
+    impl Scheduler for HighestIdFirst {
+        fn name(&self) -> &str {
+            "highest-id-first"
+        }
+
+        fn schedule(
+            &mut self,
+            _: f64,
+            jobs: &[JobSnapshot],
+            _: &Cluster,
+            _: &[Tenant],
+        ) -> Vec<Assignment> {
+            let on_node_0 = |job: &JobSnapshot| Assignment {
+                job: job.id(),
+                allocation: Allocation::on_node(0, job.spec.requested),
+                plan: job.spec.initial_plan,
+            };
+            jobs.iter().rev().map(on_node_0).collect()
+        }
+    }
+
+    #[test]
+    fn apply_configures_in_the_schedulers_order() {
+        // Two 8-GPU jobs contend for one 8-GPU node; the scheduler lists
+        // job 2 first, so job 2 launches and job 1's launch fails.
+        let oracle = TestbedOracle::new(1);
+        let mut e = Engine::new(
+            &oracle,
+            Box::new(HighestIdFirst),
+            Cluster::new(1, rubick_model::NodeShape::a800()),
+            vec![],
+            EngineConfig::default(),
+        );
+        let mut sink = rubick_obs::VecSink::default();
+        for id in [1, 2] {
+            let mut spec = job(id, 0.0, 500);
+            spec.requested = Resources::new(8, 16, 100.0);
+            spec.initial_plan = ExecutionPlan::dp(8);
+            e.submit(spec);
+        }
+        assert!(matches!(
+            e.step(None, &mut sink),
+            StepOutcome::Advanced { .. }
+        ));
+        assert_eq!((e.running_jobs(), e.queued_jobs()), (1, 1));
+        assert!(sink.events.iter().any(|ev| matches!(
+            ev,
+            SimEvent::DecisionApplied {
+                job: 2,
+                kind: rubick_obs::DecisionKind::Launch,
+                ..
+            }
+        )));
+        assert!(sink
+            .events
+            .iter()
+            .any(|ev| matches!(ev, SimEvent::LaunchFailed { job: 1, .. })));
     }
 
     #[test]

@@ -235,11 +235,6 @@ impl SimReport {
         self.avg_jct_where(|j| j.class == class)
     }
 
-    /// P99 JCT for one scheduling class, seconds.
-    pub fn p99_jct_class(&self, class: JobClass) -> f64 {
-        self.p99_jct_where(|j| j.class == class)
-    }
-
     /// Total GPU-hours consumed.
     pub fn gpu_hours(&self) -> f64 {
         self.jobs.iter().map(|j| j.gpu_seconds).sum::<f64>() / 3600.0

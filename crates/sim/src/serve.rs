@@ -951,70 +951,9 @@ pub fn recover<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::{Allocation, Cluster};
-    use crate::engine::EngineConfig;
-    use crate::job::JobStatus;
-    use crate::scheduler::{Assignment, JobSnapshot, Scheduler};
-    use crate::tenant::Tenant;
+    use crate::engine::tests::engine;
     use rubick_obs::{NullSink, VecSink};
     use rubick_testbed::TestbedOracle;
-
-    /// Minimal FIFO gang scheduler (mirrors the engine test double).
-    struct Fifo;
-
-    impl Scheduler for Fifo {
-        fn name(&self) -> &str {
-            "fifo-test"
-        }
-
-        fn schedule(
-            &mut self,
-            _now: f64,
-            jobs: &[JobSnapshot],
-            cluster: &Cluster,
-            _tenants: &[Tenant],
-        ) -> Vec<Assignment> {
-            let mut free: Vec<Resources> = cluster.nodes().iter().map(|n| n.free).collect();
-            let mut out = Vec::new();
-            for job in jobs {
-                if let JobStatus::Running {
-                    allocation, plan, ..
-                } = &job.status
-                {
-                    out.push(Assignment {
-                        job: job.id(),
-                        allocation: allocation.clone(),
-                        plan: *plan,
-                    });
-                    continue;
-                }
-                let want = job.spec.requested;
-                if let Some((node, f)) = free
-                    .iter_mut()
-                    .enumerate()
-                    .find(|(_, f)| f.dominates(&want))
-                {
-                    *f -= want;
-                    out.push(Assignment {
-                        job: job.id(),
-                        allocation: Allocation::on_node(node, want),
-                        plan: job.spec.initial_plan,
-                    });
-                }
-            }
-            out
-        }
-    }
-
-    fn engine(oracle: &TestbedOracle) -> Engine<'_> {
-        Engine::new(
-            oracle,
-            Box::new(Fifo),
-            Cluster::new(2, NodeShape::a800()),
-            vec![],
-            EngineConfig::default(),
-        )
-    }
 
     fn meta() -> ServeMeta {
         ServeMeta {
@@ -1148,6 +1087,15 @@ mod tests {
         session
             .apply(&ServeOp::Advance { until: 200_000.0 }, &mut sink)
             .unwrap();
+        assert_eq!(session.state().finished, 2);
+        // Retired ids stay taken, whether the job finished (1) or was
+        // cancelled (2).
+        for id in [1, 2] {
+            let err = session
+                .apply(&ServeOp::parse(&submit_line(id, 100)).unwrap(), &mut sink)
+                .unwrap_err();
+            assert!(err.contains(&format!("duplicate job id {id}")), "{err}");
+        }
         let report = session.finish();
         assert_eq!(report.jobs.len(), 1, "cancelled job 2 has no record");
         assert!(report.unfinished.is_empty());
